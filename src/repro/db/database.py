@@ -49,11 +49,12 @@ from repro.methods.ast import AccessMode
 from repro.methods.typing import check_schema_methods
 from repro.model.schema import Schema
 from repro.model.types import ClassType, FuncType, Type
-from repro.db.shards import ShardedExtents
+from repro.db.shards import ShardedExtents, commit_deltas
 from repro.db.statistics import StatisticsCatalog
 from repro.db.store import (
     AttributeIndexes,
     ClosureIndexes,
+    Commit,
     ExtentEnv,
     ObjectEnv,
     ObjectRecord,
@@ -61,7 +62,7 @@ from repro.db.store import (
 )
 from repro.db.wal import WriteAheadLog
 from repro.errors import ReproError
-from repro.lang.pprint import pretty, pretty_definition
+from repro.lang.pprint import pretty
 from repro.exec.cache import PlanCache, schema_fingerprint
 from repro.exec.engine import (
     PlanDecision,
@@ -125,6 +126,11 @@ class Database:
         # optimizer v2; maintained by the same Theorem 5 effect logic
         # as the caches (see _note_write)
         self._stats = StatisticsCatalog()
+        # every structure derived from EE/OE, maintained by one rule
+        self._derived = (
+            self._plan_cache, self._indexes, self._closure_indexes,
+            self._stats,
+        )
         # adaptive replanning: re-optimize mid-query when an observed
         # source cardinality diverges from the estimate by this factor
         # (None/0 disables the guards entirely)
@@ -149,14 +155,13 @@ class Database:
         self._checkpoint_lsn = 0
         self._odl_source: str | None = None
         # replication (repro.replication): per-extent LSN watermarks —
-        # the last WAL LSN whose static write effect touched each class
-        # — plus a "star" mark for commits any query may observe through
-        # reference chains (U/define/unattributed full records, the §5
+        # the last WAL LSN whose record touched each class (or shard)
+        # — plus a star mark "*" for records any query may observe
+        # through reference chains (full/define records, the §5
         # caveat).  A replica covers a query's R-set iff its own marks
         # reach these.  Updated under _commit_lock right after the
         # append that assigned the LSN.
         self._write_marks: dict[str, int] = {}
-        self._star_mark = 0
         self._replicas = None  # ReplicaSet | None
         # a fenced primary lost a failover: it must never commit again
         self._fenced = False
@@ -267,42 +272,29 @@ class Database:
             self._oe = value
 
     def _note_write(
-        self, effect: Effect, pre_version: int, shard_writes=None, adds=None
+        self, effect: Effect, pre: int, adds=None, shard_writes=None
     ) -> None:
-        """Effect-guided cache maintenance after a committed write.
+        """Effect-guided maintenance of every derived structure.
 
         By Theorem 5 the dynamic trace of the committed statement is a
-        subeffect of ``effect``, so a plan/result/index whose reads are
-        disjoint from the written classes is provably unaffected: it is
-        promoted to the new store version.  Affected entries are
-        evicted.  State changes with *unknown* effects (restore,
+        subeffect of ``effect``, so a plan/result/index/statistic whose
+        reads are disjoint from the written classes is provably
+        unaffected: it is promoted to the new store version (see
+        :func:`repro.db.store.apply_commit`).  Affected entries are
+        evicted, or folded forward where ``adds`` (extent → newly added
+        oids) allows.  State changes with *unknown* effects (restore,
         persistence load, rollback) never reach this method — their
         version bump alone lazily invalidates every cached result.
-
-        ``shard_writes`` (class → exact shard ids, per-shard commits
-        only) lets the plan cache keep entries whose recorded reads
-        were confined to disjoint shards of the written classes.
-        ``adds`` (extent → newly added oids, when the commit path knows
-        them) lets the statistics catalog fold an ``A``-only commit's
-        rows into its column stats instead of evicting them.
         """
         post = self._state_version
-        if post == pre_version:
+        if post == pre:
             return
-        self._plan_cache.note_write(
-            effect, pre_version, post, shard_writes=shard_writes
+        commit = Commit(
+            effect, pre, post, self.schema, self._ee, self._oe,
+            adds, shard_writes,
         )
-        self._indexes.note_write(self.schema, effect, pre_version, post)
-        self._closure_indexes.note_write(self.schema, effect, pre_version, post)
-        self._stats.note_write(
-            self.schema,
-            effect,
-            pre_version,
-            post,
-            adds=adds,
-            oe=self.oe,
-            ee=self.ee,
-        )
+        for derived in self._derived:
+            derived.note_write(commit)
 
     # -- durability (repro.db.wal / repro.db.recovery) -------------------
     @property
@@ -345,7 +337,6 @@ class Database:
         )
         # marks refer to LSNs of *this* log; a fresh log restarts them
         self._write_marks = {}
-        self._star_mark = 0
         self.checkpoint()
         return self
 
@@ -358,42 +349,18 @@ class Database:
             _recovery.wal_path(self._wal_dir), next_lsn=next_lsn, sync=sync
         )
         self._write_marks = {}
-        self._star_mark = 0
 
     # -- replication (repro.replication) ---------------------------------
-    def _mark_written(
-        self, lsn: int, effect: Effect | None, shard_writes=None
-    ) -> None:
-        """Advance the per-extent watermarks for the record at ``lsn``.
+    def _mark_written(self, lsn: int, rec: dict) -> None:
+        """Advance the watermarks for the record appended at ``lsn``:
+        the keys :func:`~repro.db.recovery.record_marks` names, the very
+        keys a replica advances when it applies the same record."""
+        from repro.db.recovery import record_marks
 
-        ``effect=None`` is an unattributed full record; a ``U`` commit
-        is also logged full, and either may be observed by *any* query
-        through reference chains (§5), so both advance the star mark
-        every coverage check folds in.  An ``A``-only commit advances
-        exactly the marks its atoms name — a freshly added object is
-        unreachable from records no class in the write set owns, so a
-        query not reading those classes cannot observe it.
-
-        ``shard_writes`` (class → exact shard ids written, sharded
-        classes only) refines a class mark to per-shard keys
-        ``"C#k"`` — ``#`` cannot appear in a class name — so a reader
-        provably confined to other shards needs no freshness from this
-        commit at all.
-        """
         with self._commit_lock:
-            if effect is None or effect.updates():
-                # the full record subsumes every per-class mark too:
-                # covers() takes max(star, class mark) on both sides
-                self._star_mark = max(self._star_mark, lsn)
-            else:
-                for cname in effect.adds():
-                    if shard_writes is not None and cname in shard_writes:
-                        for s in sorted(shard_writes[cname]):
-                            key = f"{cname}#{s}"
-                            if lsn > self._write_marks.get(key, 0):
-                                self._write_marks[key] = lsn
-                    elif lsn > self._write_marks.get(cname, 0):
-                        self._write_marks[cname] = lsn
+            for key in record_marks(self.schema, rec):
+                if lsn > self._write_marks.get(key, 0):
+                    self._write_marks[key] = lsn
 
     def write_marks(self) -> dict[str, int]:
         """Snapshot of the freshness requirement: class → LSN, ``"*"`` →
@@ -401,7 +368,7 @@ class Database:
         reach these for every class in the query's R-set (and the star)."""
         with self._commit_lock:
             marks = dict(self._write_marks)
-            marks["*"] = self._star_mark
+            marks.setdefault("*", 0)
             return marks
 
     @property
@@ -499,119 +466,7 @@ class Database:
         if wal is not None:
             wal.close()
 
-    def _wal_commit_record(
-        self, stmt: str, effect: Effect, post_ee: ExtentEnv, post_oe: ObjectEnv
-    ) -> dict:
-        """The physical delta of one commit, bounded by its static effect.
-
-        Theorem 5 bounds the commit's dynamic trace by ``effect``, so an
-        ``A``-only commit can log just the extents its ``A`` atoms name
-        (new membership wholesale — replay is then idempotent) plus the
-        records of the objects that joined them.  Any ``U`` atom forces
-        a full record: in-place updates reach objects through reference
-        chains the ``R``-set does not name (the §5 caveat, the same
-        coarsening ``repro.sched`` applies to updaters).
-        """
-        from repro.db.persistence import value_to_json
-
-        if effect.updates():
-            return self._wal_full_record(stmt, effect, post_ee, post_oe)
-        pre_ee = self._ee
-        extents: dict[str, list[str]] = {}
-        objects: dict[str, dict] = {}
-        for cname in sorted(effect.adds()):
-            try:
-                extent = self.schema.class_extent(cname)
-            except Exception:
-                continue  # extent-less class: nothing durable to log
-            members = post_ee.members(extent)
-            extents[extent] = sorted(members)
-            for oid in sorted(members - pre_ee.members(extent)):
-                rec = post_oe.get(oid)
-                objects[oid] = {
-                    "class": rec.cname,
-                    "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-                }
-        return {
-            "kind": "delta",
-            "stmt": stmt,
-            "defs_version": self._defs_version,
-            "effect": [str(a) for a in effect],
-            "extents": extents,
-            "objects": objects,
-            "next_oid": self.supply.state(),
-        }
-
-    def _wal_full_record(
-        self,
-        stmt: str,
-        effect: Effect | None = None,
-        ee: ExtentEnv | None = None,
-        oe: ObjectEnv | None = None,
-    ) -> dict:
-        """A record carrying the whole state (U commits, rollback, restore)."""
-        from repro.db.persistence import value_to_json
-
-        ee = self._ee if ee is None else ee
-        oe = self._oe if oe is None else oe
-        return {
-            "kind": "full",
-            "stmt": stmt,
-            "defs_version": self._defs_version,
-            "effect": [str(a) for a in effect] if effect is not None else [],
-            "extents": {e: sorted(ee.members(e)) for e in sorted(ee.names())},
-            "objects": {
-                oid: {
-                    "class": rec.cname,
-                    "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-                }
-                for oid, rec in oe.items()
-            },
-            "definitions": [
-                pretty_definition(d) for d in self._definitions.values()
-            ],
-            "next_oid": self.supply.state(),
-        }
-
-    def _shard_delta_record(
-        self, stmt: str, effect: Effect, extent_adds, shard_adds, result_oe
-    ) -> dict:
-        """A shard-scoped refinement of the ``delta`` record.
-
-        ``adds`` carries only the oids that *joined* each touched extent
-        (additive — replay unions them in, which is idempotent and
-        commutes with the disjoint deltas of overlapped writers), and
-        ``shards`` buckets them by shard id for extents sharded at
-        commit time, so replicas can refine their watermarks per shard
-        without re-deriving the layout.
-        """
-        from repro.db.persistence import value_to_json
-
-        objects: dict[str, dict] = {}
-        for added in extent_adds.values():
-            for oid in sorted(added):
-                rec = result_oe.get(oid)
-                objects[oid] = {
-                    "class": rec.cname,
-                    "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-                }
-        return {
-            "kind": "shard-delta",
-            "stmt": stmt,
-            "defs_version": self._defs_version,
-            "effect": [str(a) for a in effect],
-            "adds": {
-                e: sorted(a) for e, a in sorted(extent_adds.items())
-            },
-            "shards": {
-                e: {str(s): sorted(oids) for s, oids in sorted(per.items())}
-                for e, per in sorted(shard_adds.items())
-            },
-            "objects": objects,
-            "next_oid": self.supply.state(),
-        }
-
-    def _install_sharded(
+    def _install_adds(
         self,
         stmt: str,
         effect: Effect,
@@ -619,37 +474,36 @@ class Database:
         base_oe: ObjectEnv,
         result_ee: ExtentEnv,
         result_oe: ObjectEnv,
-        pre: int,
     ) -> None:
-        """Commit an ``A``-only evaluation by per-shard delta install.
+        """Commit an ``A``-only evaluation: the one install path for adds.
 
-        Caller holds the commit lock.  Instead of replacing EE/OE with
-        the evaluation's own post-environments wholesale, the commit's
-        delta (new objects + extent joins, bounded by the static ``A``
-        atoms per Theorem 5) is *merged* into the current environments.
-        This is what lets the scheduler overlap writers: deltas of
-        concurrent ``A``-only commits are disjoint (the oid supply is
-        globally monotone, so fresh oids never collide) and set union
-        commutes, so merge order only permutes oid names — absorbed by
-        ∼.  Ordering within the commit:
+        Caller holds the commit lock.  The commit's delta — the oids
+        that joined each extent its ``A`` atoms name, relative to the
+        evaluation's base environments, bucketed by shard for sharded
+        extents — is its whole physical effect (Theorem 5).  When no
+        other writer installed since the evaluation started, the result
+        pair installs as-is; otherwise the delta is *merged* into the
+        current environments.  Deltas of concurrent ``A``-only commits
+        are disjoint (the oid supply is globally monotone, so fresh oids
+        never collide) and set union commutes, so merge order only
+        permutes oid names — absorbed by ∼.  Ordering within the commit:
 
         1. ``shard.install`` fault sites fire per touched shard *first*
            — an injected fault aborts the whole commit atomically, with
            nothing logged and nothing installed;
-        2. the ``shard-delta`` WAL record becomes durable;
+        2. the additive ``delta`` WAL record becomes durable (a failed
+           append aborts the commit the same way);
         3. OE then EE install (the documented reader discipline);
         4. the staged per-shard partitions swap in under their new
-           per-shard versions, and caches/watermarks refine to the
-           exact ``(class, shard)`` pairs written.
+           per-shard versions, and the derived structures are
+           maintained with the exact adds and ``(class, shard)`` pairs
+           written.
         """
-        from repro.db.shards import commit_deltas
+        from repro.db import recovery as _recovery
 
+        pre = self._state_version
         extent_adds, shard_adds = commit_deltas(
-            self._shards,
-            self.schema,
-            base_ee,
-            result_ee,
-            result_oe,
+            self._shards, self.schema, base_ee, result_ee, result_oe,
             effect.adds(),
         )
         cur_ee, cur_oe = self._ee, self._oe
@@ -658,11 +512,13 @@ class Database:
         else:
             # another writer installed since this evaluation started:
             # merge this commit's (disjoint, fresh-oid) delta on top
-            fresh: dict[str, ObjectRecord] = {}
-            for added in extent_adds.values():
-                for oid in added:
-                    fresh[oid] = result_oe.get(oid)
-            new_oe = cur_oe.with_objects(fresh)
+            new_oe = cur_oe.with_objects(
+                {
+                    oid: result_oe.get(oid)
+                    for added in extent_adds.values()
+                    for oid in added
+                }
+            )
             new_ee = cur_ee
             for extent, added in extent_adds.items():
                 if added:
@@ -670,22 +526,22 @@ class Database:
                         extent, cur_ee.members(extent) | added
                     )
         staged = self._shards.prepare_install(pre, shard_adds)
-        shard_writes = {
-            self.schema.extent_class(extent): frozenset(per)
-            for extent, per in shard_adds.items()
-        }
         if self._wal is not None:
-            lsn = self._wal.append(
-                self._shard_delta_record(
-                    stmt, effect, extent_adds, shard_adds, result_oe
-                )
+            rec = _recovery.delta_record(
+                self, stmt, effect, extent_adds, shard_adds, result_oe
             )
-            self._mark_written(lsn, effect, shard_writes=shard_writes)
+            self._mark_written(self._wal.append(rec), rec)
         self.oe = new_oe
         self.ee = new_ee
         self._shards.commit_staged(staged, shard_adds, self._state_version)
         self._note_write(
-            effect, pre, shard_writes=shard_writes, adds=extent_adds
+            effect,
+            pre,
+            adds=extent_adds,
+            shard_writes={
+                self.schema.extent_class(extent): frozenset(per)
+                for extent, per in shard_adds.items()
+            },
         )
 
     def _wal_log_unattributed(self, stmt: str) -> None:
@@ -698,11 +554,14 @@ class Database:
         ``wal_detached_total`` metric and ``db.wal is None``) rather
         than left inconsistent; the in-memory database stays correct.
         """
+        from repro.db.recovery import full_record
+
         wal = self._wal
         if wal is None:
             return
         try:
-            lsn = wal.append(self._wal_full_record(stmt))
+            rec = full_record(self, stmt)
+            lsn = wal.append(rec)
         except BaseException as exc:
             # idempotent detach: a concurrent (or earlier) close/detach
             # already cleared the slot — don't count the loss twice
@@ -725,7 +584,7 @@ class Database:
             ):
                 self._qstats["crash_dumps"] += 1
             raise
-        self._mark_written(lsn, None)
+        self._mark_written(lsn, rec)
 
     # -- population ------------------------------------------------------
     def insert(self, cname: str, **attrs: Any) -> OidRef:
@@ -751,38 +610,21 @@ class Database:
             ctx.require_subtype(vt, declared[a], f"insert {cname}.{a}")
         with self._commit_lock:
             oid = self.supply.fresh(cname, self.oe)
-            pre = self._state_version
             effect = Effect.of(add_effect(cname))
-            new_oe = self.oe.with_object(oid, ObjectRecord(cname, fields))
-            new_ee = self.ee.with_member(self.schema.class_extent(cname), oid)
+            ee, oe = self.ee, self.oe
             _flight.record(
                 "commit",
                 stmt=f"insert {cname}",
                 effect=str(effect),
-                version=pre,
+                version=self._state_version,
             )
-            if self._shards.enabled:
-                self._install_sharded(
-                    f"insert {cname}", effect,
-                    self.ee, self.oe, new_ee, new_oe, pre,
-                )
-            else:
-                if self._wal is not None:
-                    # write-ahead: a failed append aborts the insert with
-                    # nothing installed (the burnt oid is absorbed by ∼)
-                    lsn = self._wal.append(
-                        self._wal_commit_record(
-                            f"insert {cname}", effect, new_ee, new_oe
-                        )
-                    )
-                    self._mark_written(lsn, effect)
-                self.oe = new_oe
-                self.ee = new_ee
-                self._note_write(
-                    effect,
-                    pre,
-                    adds={self.schema.class_extent(cname): (oid,)},
-                )
+            # a failed append aborts the insert with nothing installed
+            # (the burnt oid is absorbed by ∼)
+            self._install_adds(
+                f"insert {cname}", effect, ee, oe,
+                ee.with_member(self.schema.class_extent(cname), oid),
+                oe.with_object(oid, ObjectRecord(cname, fields)),
+            )
         if self._active_txn is not None:
             self._active_txn.record(Effect.of(add_effect(cname)))
         return OidRef(oid)
@@ -808,19 +650,13 @@ class Database:
         # carry the latent effect on the stored type (Figure 3 view)
         eff_type = EffectChecker().check_definition(ctx, d)
         if self._wal is not None:
-            # write-ahead: logged only once the definition is known good
-            lsn = self._wal.append(
-                {
-                    "kind": "define",
-                    "stmt": d.name,
-                    "source": pretty_definition(d),
-                    "defs_version": self._defs_version + 1,
-                    "next_oid": self.supply.state(),
-                }
-            )
-            # a definition changes what any later query may mean: it
-            # advances the star mark, like a full record
-            self._mark_written(lsn, None)
+            from repro.db.recovery import define_record
+
+            # write-ahead: logged only once the definition is known good;
+            # a definition changes what any later query may mean, so its
+            # record advances the star mark, like a full record
+            rec = define_record(self, d)
+            self._mark_written(self._wal.append(rec), rec)
         self._definitions[d.name] = d
         self._def_types[d.name] = eff_type
         self.machine.defs[d.name] = d
@@ -1054,9 +890,9 @@ class Database:
         self._qstats["runs"] += 1
         if engine in self._qstats:
             self._qstats[engine] += 1
-        # the evaluation's base environments: the per-shard commit path
-        # computes this run's delta against exactly what it read, then
-        # merges the delta into whatever is current at install time
+        # the evaluation's base environments: an A-only commit computes
+        # this run's delta against exactly what it read, then merges the
+        # delta into whatever is current at install time
         base_ee, base_oe = self.ee, self.oe
         with _span("eval", engine=engine) as ev_sp:
             if engine == "compiled":
@@ -1105,69 +941,46 @@ class Database:
                         objects=len(result.oe), new_objects=new_objects
                     )
                 with self._commit_lock:
+                    effect = result.effect
                     pre = self._state_version
-                    if result.effect.writes():
+                    writes = bool(effect.writes())
+                    stmt = pretty(q) if writes else ""
+                    if writes:
                         # flight-record before the append so the ring
                         # shows commit intent → fault → detach in order
                         _flight.record(
                             "commit",
-                            stmt=pretty(q)[:200],
-                            effect=str(result.effect),
+                            stmt=stmt[:200],
+                            effect=str(effect),
                             version=pre,
                         )
-                    if (
-                        self._shards.enabled
-                        and result.effect.writes()
-                        and not result.effect.updates()
-                    ):
-                        # A-only commit with sharding on: per-shard
-                        # delta install instead of wholesale replacement
-                        self._install_sharded(
-                            pretty(q), result.effect,
-                            base_ee, base_oe, result.ee, result.oe, pre,
+                    if writes and not effect.updates():
+                        self._install_adds(
+                            stmt, effect,
+                            base_ee, base_oe, result.ee, result.oe,
                         )
                     else:
-                        if self._wal is not None and result.effect.writes():
+                        if self._wal is not None and writes:
+                            from repro.db.recovery import full_record
+
                             # write-ahead: the record must be durable
                             # before the state it describes becomes
                             # observable; a failed append fails the
                             # commit with nothing installed, so log and
-                            # memory always agree
-                            lsn = self._wal.append(
-                                self._wal_commit_record(
-                                    pretty(q), result.effect,
-                                    result.ee, result.oe,
-                                )
+                            # memory always agree.  A U atom forces a
+                            # full record: updates reach objects through
+                            # reference chains no R set names (§5)
+                            rec = full_record(
+                                self, stmt, effect, result.ee, result.oe
                             )
-                            self._mark_written(lsn, result.effect)
+                            self._mark_written(self._wal.append(rec), rec)
                         # OE before EE: a concurrent snapshot reader
                         # loads ee then oe, so this order can never pair
                         # a new extent set with an object env missing
                         # its members
                         self.oe = result.oe
                         self.ee = result.ee
-                        adds = None
-                        if (
-                            result.effect.adds()
-                            and not result.effect.updates()
-                        ):
-                            # A-only: the new members per extent are
-                            # exactly the EE delta (Theorem 5 bounds the
-                            # touched extents by the static A atoms), so
-                            # the stats catalog can fold them in rather
-                            # than rebuild from scratch
-                            adds = {
-                                self.schema.class_extent(c): (
-                                    result.ee.members(
-                                        self.schema.class_extent(c)
-                                    )
-                                    - base_ee.members(
-                                        self.schema.class_extent(c)
-                                    )
-                                )
-                                for c in result.effect.adds()
-                            }
-                        self._note_write(result.effect, pre, adds=adds)
+                        self._note_write(effect, pre)
                 if self._active_txn is not None:
                     self._active_txn.record(result.effect)
         return result

@@ -45,10 +45,12 @@ from repro.db.persistence import (
     load_database,
     read_document,
     value_from_json,
+    value_to_json,
 )
 from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
 from repro.db.wal import WalError
 from repro.errors import EvalError
+from repro.lang.pprint import pretty_definition
 from repro.obs import flight as _flight
 from repro.obs._state import STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -224,6 +226,128 @@ def bootstrap(directory: str) -> tuple["Database", int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Record format
+#
+# Three kinds:
+#
+# * ``delta`` — one ``A``-only commit, additive: ``adds`` maps each
+#   extent its ``A`` atoms name to the oids that joined it, ``objects``
+#   holds those oids' records, and ``shards`` (only when some touched
+#   extent is sharded) buckets a sharded extent's adds by shard id;
+# * ``full`` — the whole state (``U`` commits, rollback, restore);
+# * ``define`` — one definition.
+#
+# Logs written by earlier versions may also hold ``delta`` records that
+# carry each touched extent's whole membership under ``extents``, and
+# ``shard-delta`` records shaped like today's additive ``delta``; the
+# reader applies both.
+# ---------------------------------------------------------------------------
+
+_DELTA_KINDS = ("delta", "shard-delta")
+
+
+def _encode_object(rec: ObjectRecord) -> dict:
+    return {
+        "class": rec.cname,
+        "attrs": {a: value_to_json(v) for a, v in rec.attrs},
+    }
+
+
+def delta_record(
+    db: "Database", stmt: str, effect, extent_adds, shard_adds, oe: ObjectEnv
+) -> dict:
+    """The additive record of one ``A``-only commit.
+
+    Theorem 5 bounds the commit's dynamic trace by ``effect``, so the
+    objects that joined the extents its ``A`` atoms name are its whole
+    physical delta: O(added objects), whatever the extents' sizes.
+    """
+    rec = {
+        "kind": "delta",
+        "stmt": stmt,
+        "defs_version": db._defs_version,
+        "effect": [str(a) for a in effect],
+        "adds": {e: sorted(a) for e, a in sorted(extent_adds.items())},
+    }
+    if shard_adds:
+        rec["shards"] = {
+            e: {str(s): sorted(oids) for s, oids in sorted(per.items())}
+            for e, per in sorted(shard_adds.items())
+        }
+    rec["objects"] = {
+        oid: _encode_object(oe.get(oid))
+        for added in extent_adds.values()
+        for oid in sorted(added)
+    }
+    rec["next_oid"] = db.supply.state()
+    return rec
+
+
+def full_record(
+    db: "Database",
+    stmt: str,
+    effect=None,
+    ee: ExtentEnv | None = None,
+    oe: ObjectEnv | None = None,
+) -> dict:
+    """A record carrying the whole state (U commits, rollback, restore)."""
+    ee = db.ee if ee is None else ee
+    oe = db.oe if oe is None else oe
+    return {
+        "kind": "full",
+        "stmt": stmt,
+        "defs_version": db._defs_version,
+        "effect": [str(a) for a in effect] if effect is not None else [],
+        "extents": {e: sorted(ee.members(e)) for e in sorted(ee.names())},
+        "objects": {oid: _encode_object(rec) for oid, rec in oe.items()},
+        "definitions": [
+            pretty_definition(d) for d in db.definitions.values()
+        ],
+        "next_oid": db.supply.state(),
+    }
+
+
+def define_record(db: "Database", d) -> dict:
+    """The record of one new definition ``d``."""
+    return {
+        "kind": "define",
+        "stmt": d.name,
+        "source": pretty_definition(d),
+        "defs_version": db._defs_version + 1,
+        "next_oid": db.supply.state(),
+    }
+
+
+def record_marks(schema, rec: dict) -> set[str]:
+    """The watermark keys one record advances.
+
+    A delta advances the class of every extent it names, or — for an
+    extent in its ``shards`` stanza — exactly the keys ``"C#k"`` of the
+    shards it wrote (``#`` cannot appear in a class name): a freshly
+    added object is unreachable from objects of other classes, so a
+    query not reading those classes (or shards) cannot observe it.
+    Every other record — ``full`` (``U`` commits, rollback, restore) or
+    ``define`` — may be observed by any query through reference chains
+    (§5), so it advances the star ``"*"``.  The primary and every
+    replica derive their marks from this one function.
+    """
+    if rec.get("kind") not in _DELTA_KINDS:
+        return {"*"}
+    shards = rec.get("shards", {})
+    keys: set[str] = set()
+    for extent in rec.get("adds", rec.get("extents", {})):
+        try:
+            cname = schema.extent_class(extent)
+        except Exception:
+            continue
+        if extent in shards:
+            keys.update(f"{cname}#{s}" for s in shards[extent])
+        else:
+            keys.add(cname)
+    return keys
+
+
+# ---------------------------------------------------------------------------
 # Record replay
 # ---------------------------------------------------------------------------
 
@@ -239,13 +363,10 @@ def apply_record(db: "Database", rec: dict) -> None:
     try:
         if kind == "define":
             db.define(rec["source"])
-        elif kind == "delta":
-            _apply_state(db, rec, full=False)
-        elif kind == "shard-delta":
-            _apply_shard_delta(db, rec)
-        elif kind == "full":
-            _apply_state(db, rec, full=True)
-            _restore_definitions(db, rec.get("definitions", []))
+        elif kind in _DELTA_KINDS or kind == "full":
+            _apply_state(db, rec)
+            if kind == "full":
+                _restore_definitions(db, rec.get("definitions", []))
         else:
             raise WalError(f"record lsn {rec.get('lsn')}: unknown kind {kind!r}")
     except WalError:
@@ -257,10 +378,10 @@ def apply_record(db: "Database", rec: dict) -> None:
     db.supply.advance_to(int(rec.get("next_oid", 0)))
 
 
-def _apply_state(db: "Database", rec: dict, *, full: bool) -> None:
-    schema = db.schema
-    oe = ObjectEnv() if full else db.oe
-    for oid, entry in sorted(rec.get("objects", {}).items()):
+def _decode_objects(schema, oe: ObjectEnv, objects: dict) -> ObjectEnv:
+    """``oe`` plus a record's logged objects, validated against ``schema``."""
+    fresh: dict[str, ObjectRecord] = {}
+    for oid, entry in sorted(objects.items()):
         cname = entry["class"]
         if cname not in schema:
             raise WalError(f"object {oid}: unknown class {cname!r}")
@@ -273,11 +394,31 @@ def _apply_state(db: "Database", rec: dict, *, full: bool) -> None:
             )
         try:
             attrs = tuple((a, value_from_json(given[a])) for a in declared)
-            oe = oe.with_object(oid, ObjectRecord(cname, attrs))
+            fresh[oid] = ObjectRecord(cname, attrs)
         except (PersistenceError, EvalError) as exc:
             raise WalError(f"object {oid}: {exc}") from exc
+    return oe.with_objects(fresh)
+
+
+def _apply_state(db: "Database", rec: dict) -> None:
+    """Replay a ``full`` or ``delta`` record's extents and objects.
+
+    A ``full`` record replaces the whole state.  An additive delta
+    unions each extent's ``adds`` in — idempotent, and independent of
+    the shard layout, so a database recovered under a different (or
+    no) shard declaration reaches the identical extent state; the
+    ``shards`` stanza only feeds :func:`record_marks`.  A legacy delta
+    resets each extent it names to its logged membership.
+    """
+    schema = db.schema
+    full = rec.get("kind") == "full"
+    additive = "adds" in rec
+    oe = _decode_objects(
+        schema, ObjectEnv() if full else db.oe, rec.get("objects", {})
+    )
     ee = ExtentEnv.for_schema(schema) if full else db.ee
-    for extent, members in sorted(rec.get("extents", {}).items()):
+    logged = rec["adds"] if additive else rec.get("extents", {})
+    for extent, members in sorted(logged.items()):
         if extent not in ee:
             raise WalError(f"unknown extent {extent!r} in record")
         want = schema.extent_class(extent)
@@ -291,61 +432,10 @@ def _apply_state(db: "Database", rec: dict, *, full: bool) -> None:
                     f"extent {extent!r} holds {oid} of class "
                     f"{oe.class_of(oid)!r}, expected {want!r}"
                 )
-        ee = ee.with_members(extent, frozenset(members))
-    # OE before EE: same installation order as Database commit
-    db.oe = oe
-    db.ee = ee
-
-
-def _apply_shard_delta(db: "Database", rec: dict) -> None:
-    """Replay one per-shard install: an additive extent-membership union.
-
-    ``shard-delta`` records carry only the commit's *added* members per
-    extent (plus the new objects), never whole extents — so replay is a
-    set union, which is idempotent and order-insensitive within the
-    LSN-ordered prefix.  The record's ``"shards"`` stanza (which shard
-    each oid was installed into) is observability metadata: replay
-    recomputes the partition from the live layout rather than trusting
-    the log, so a database recovered under a different (or no) shard
-    declaration still reaches the identical extent state.
-    """
-    schema = db.schema
-    oe = db.oe
-    for oid, entry in sorted(rec.get("objects", {}).items()):
-        cname = entry["class"]
-        if cname not in schema:
-            raise WalError(f"object {oid}: unknown class {cname!r}")
-        declared = [a for a, _ in schema.atypes(cname)]
-        given = entry.get("attrs", {})
-        if sorted(given) != sorted(declared):
-            raise WalError(
-                f"object {oid}: attribute set {sorted(given)} does not "
-                f"match class {cname} ({sorted(declared)})"
-            )
-        try:
-            attrs = tuple((a, value_from_json(given[a])) for a in declared)
-            oe = oe.with_object(oid, ObjectRecord(cname, attrs))
-        except (PersistenceError, EvalError) as exc:
-            raise WalError(f"object {oid}: {exc}") from exc
-    ee = db.ee
-    for extent, added in sorted(rec.get("adds", {}).items()):
-        if extent not in ee:
-            raise WalError(f"unknown extent {extent!r} in record")
-        want = schema.extent_class(extent)
-        for oid in added:
-            if oid not in oe:
-                raise WalError(
-                    f"extent {extent!r} references missing object {oid}"
-                )
-            if oe.class_of(oid) != want:
-                raise WalError(
-                    f"extent {extent!r} holds {oid} of class "
-                    f"{oe.class_of(oid)!r}, expected {want!r}"
-                )
-        if added:
-            ee = ee.with_members(
-                extent, ee.members(extent) | frozenset(added)
-            )
+        if not additive:
+            ee = ee.with_members(extent, frozenset(members))
+        elif members:
+            ee = ee.with_members(extent, ee.members(extent).union(members))
     # OE before EE: same installation order as Database commit
     db.oe = oe
     db.ee = ee
@@ -359,9 +449,8 @@ def _restore_definitions(db: "Database", sources: list[str]) -> None:
     *removed* definitions — replaying only additions cannot express
     that.
     """
-    current = [d for d in db.definitions]
-    if [*sources] == [
-        _pretty_definition(db, name) for name in current
+    if list(sources) == [
+        pretty_definition(d) for d in db.definitions.values()
     ]:
         return
     db._defs_version += 1
@@ -371,8 +460,3 @@ def _restore_definitions(db: "Database", sources: list[str]) -> None:
     for source in sources:
         db.define(source)
 
-
-def _pretty_definition(db: "Database", name: str) -> str:
-    from repro.lang.pprint import pretty_definition
-
-    return pretty_definition(db.definitions[name])

@@ -7,9 +7,10 @@ partition is pure bookkeeping: membership, answers and the effect
 system are untouched (a sharded run must be ``≡`` the unsharded run),
 but three things get finer-grained:
 
-* **commits** — an ``A``-only commit *merges* its per-shard deltas into
-  the current environments instead of replacing EE/OE wholesale, under
-  per-shard install versions (``shard.install`` fault site);
+* **commits** — the one ``A``-only install path buckets a commit's
+  adds by shard and swaps in new frozensets for exactly the touched
+  shards, under per-shard install versions (``shard.install`` fault
+  site);
 * **execution** — the compiled engine prunes equality-constrained scans
   to one shard and fans full scans out per-shard on a worker pool
   (:mod:`repro.exec.parallel`);
@@ -20,9 +21,9 @@ but three things get finer-grained:
   scheduler's conflict graph and the replicas' per-shard watermarks.
 
 Shard assignment must be stable across processes (shard ids travel in
-WAL ``shard-delta`` records that replicas replay), so hashing uses
-``zlib.crc32`` over a canonical rendering of the key — never Python's
-randomised ``hash``.
+the ``shards`` stanza of the WAL ``delta`` records replicas replay), so
+hashing uses ``zlib.crc32`` over a canonical rendering of the key —
+never Python's randomised ``hash``.
 """
 
 from __future__ import annotations

@@ -53,9 +53,9 @@ from __future__ import annotations
 import heapq
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.db.store import column_values
+from repro.db.store import Commit, apply_commit, column_values
 from repro.lang.ast import IntLit, Query
 from repro.model.schema import Schema
 
@@ -422,50 +422,26 @@ class StatisticsCatalog:
             return stats
 
     # -- effect-guided maintenance ----------------------------------------
-    def note_write(
-        self,
-        schema: Schema,
-        effect,
-        pre: int,
-        post: int,
-        adds: Mapping[str, Iterable[str]] | None = None,
-        oe=None,
-        ee=None,
-    ) -> None:
+    def note_write(self, c: Commit) -> None:
         """Theorem 5 maintenance after a committed write.
 
-        ``adds`` maps extent name → newly added oids when the commit
-        path knows them (insert, the sharded installer, the plain
-        commit diff); with ``oe`` present, touched columns are folded
-        forward instead of evicted.
+        Columns of the extents an ``A``-only commit grew are folded
+        forward with the added oids when the commit knows them
+        (``c.adds``), and evicted otherwise.
         """
+
+        def fold(key, entry):
+            added = c.adds.get(key[0]) if c.adds is not None else None
+            if added is None:
+                return None
+            entry[1].fold(c.oe, added)
+            return (c.post, entry[1])
+
         with self._lock:
-            if effect.updates():
-                self._columns.clear()
-            else:
-                touched = set()
-                for cname in effect.adds():
-                    try:
-                        touched.add(schema.class_extent(cname))
-                    except Exception:
-                        continue
-                for key in list(self._columns):
-                    version, stats = self._columns[key]
-                    if key[0] in touched:
-                        added = adds.get(key[0]) if adds is not None else None
-                        if (
-                            added is not None
-                            and oe is not None
-                            and version == pre
-                        ):
-                            stats.fold(oe, added)
-                            self._columns[key] = (post, stats)
-                        else:
-                            del self._columns[key]
-                    elif version == pre:
-                        self._columns[key] = (post, stats)
-        if ee is not None:
-            self.observe(ee)
+            apply_commit(
+                self._columns, c, lambda key, _: key[0] in c.extents, fold=fold
+            )
+        self.observe(c.ee)
 
     def clear(self) -> None:
         with self._lock:

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import EvalError
 from repro.lang.ast import OidRef, Query
 from repro.lang.values import is_value
 from repro.model.schema import Schema
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.effects.algebra import Effect
 
 _np = None
 _np_checked = False
@@ -254,6 +258,93 @@ class ExtentEnv:
         return f"ExtentEnv({sizes})"
 
 
+@dataclass(frozen=True)
+class Commit:
+    """One committed write, as every derived structure sees it.
+
+    By Theorem 5 the commit's dynamic trace is a subeffect of
+    ``effect``, so nothing outside ``effect.writes()`` changed between
+    store versions ``pre`` and ``post``.  ``adds`` maps each touched
+    extent to the oids that joined it when the commit path knows them
+    (``A``-only commits); ``shard_writes`` maps each sharded class to
+    the exact shard ids written.  ``ee``/``oe`` are the post-state.
+    """
+
+    effect: "Effect"
+    pre: int
+    post: int
+    schema: Schema
+    ee: "ExtentEnv"
+    oe: "ObjectEnv"
+    adds: Mapping[str, frozenset[str]] | None = None
+    shard_writes: Mapping[str, frozenset[int]] | None = None
+
+    @cached_property
+    def extents(self) -> frozenset[str]:
+        """The extents named by the commit's ``A`` atoms."""
+        out = set()
+        for cname in self.effect.adds():
+            try:
+                out.add(self.schema.class_extent(cname))
+            except Exception:
+                continue  # extent-less class: no extent changed
+        return frozenset(out)
+
+
+def _stamp(entry) -> int:
+    return entry[0]
+
+
+def _restamp(entry, post: int):
+    return (post, *entry[1:])
+
+
+def apply_commit(
+    table: dict,
+    c: Commit,
+    touched: Callable[[Any, Any], Any],
+    *,
+    fold: Callable[[Any, Any], Any] | None = None,
+    keep_on_update: Callable[[Any], Any] | None = None,
+    version: Callable[[Any], int] = _stamp,
+    restamp: Callable[[Any, int], Any] = _restamp,
+) -> int:
+    """The Theorem 5 maintenance rule, once for every derived table.
+
+    ``table`` maps keys to entries valid at store version
+    ``version(entry)`` (by default tuples led by their version).  A
+    commit that wrote nothing changes nothing.  An entry the write
+    ``touched(key, entry)`` is replaced by ``fold(key, entry)`` when an
+    ``A``-only commit can fold it forward (current entries only; a
+    ``None`` fold evicts) and evicted otherwise.  A ``U`` atom evicts
+    every other entry too — updates reach state through reference
+    chains no ``R`` set names (§5) — unless ``keep_on_update`` salvages
+    it.  Every remaining entry current at ``c.pre`` is promoted to
+    ``c.post`` by ``restamp``; stale ones stay stale.  Returns the
+    number of evictions.  Callers hold their own table lock.
+    """
+    if not c.effect.writes():
+        return 0
+    updates = bool(c.effect.updates())
+    evicted = 0
+    for key, entry in list(table.items()):
+        current = version(entry) == c.pre
+        if touched(key, entry):
+            kept = fold(key, entry) if fold and current and not updates else None
+        elif updates:
+            kept = keep_on_update(entry) if keep_on_update else None
+        elif current:
+            kept = restamp(entry, c.post)
+        else:
+            continue
+        if kept is None:
+            del table[key]
+            evicted += 1
+        else:
+            table[key] = kept
+    return evicted
+
+
 class AttributeIndexes:
     """Per-(extent, attribute) hash indexes over the current EE/OE.
 
@@ -393,27 +484,12 @@ class AttributeIndexes:
             self._sharded[key] = (parts, partials, merged)
             return merged
 
-    def note_write(self, schema: Schema, effect, pre: int, post: int) -> None:
-        """Effect-guided maintenance after a committed write."""
+    def note_write(self, c: Commit) -> None:
+        """Theorem 5 maintenance: evict indexes on written extents."""
         with self._lock:
-            if effect.updates():
-                self._indexes.clear()
+            if c.effect.updates():
                 self._sharded.clear()
-                return
-            touched = set()
-            for cname in effect.adds():
-                try:
-                    touched.add(schema.class_extent(cname))
-                except Exception:
-                    continue  # extent-less class: no index to invalidate
-            if not touched:
-                return
-            for key in list(self._indexes):
-                version, idx = self._indexes[key]
-                if key[0] in touched:
-                    del self._indexes[key]
-                elif version == pre:
-                    self._indexes[key] = (post, idx)
+            apply_commit(self._indexes, c, lambda key, _: key[0] in c.extents)
 
     def clear(self) -> None:
         with self._lock:
@@ -710,19 +786,13 @@ class ClosureIndexes:
             self.rebuilds += 1
             return idx
 
-    def note_write(self, schema: Schema, effect, pre: int, post: int) -> None:
+    def note_write(self, c: Commit) -> None:
         """Theorem 5 maintenance: evict by cone membership, else promote."""
+        writes = c.effect.writes()
         with self._lock:
-            if effect.updates():
-                self._indexes.clear()
-                return
-            writes = effect.writes()
-            for key in list(self._indexes):
-                version, sig, idx = self._indexes[key]
-                if writes & idx.classes:
-                    del self._indexes[key]
-                elif version == pre:
-                    self._indexes[key] = (post, sig, idx)
+            apply_commit(
+                self._indexes, c, lambda _, entry: writes & entry[2].classes
+            )
 
     def clear(self) -> None:
         with self._lock:

@@ -11,10 +11,12 @@ and truncates the torn tail.
 The §4 effect system is what makes the log *cheap*.  By Theorem 5 the
 dynamic trace of a committed statement is a subeffect of its static
 effect ε, so the physical delta of an ``A(C)``-only commit is bounded
-by the extents the ``A`` atoms name: the record carries just those
-extents' new memberships plus the records of the objects that joined
-them.  A commit whose effect contains a ``U`` atom forces a **full**
-delta instead — attribute reads carry no effect atom (the §5
+by the extents the ``A`` atoms name: the additive ``delta`` record
+carries just the oids that joined those extents plus their object
+records — O(added objects), whatever the extents' sizes (the record
+format lives in :mod:`repro.db.recovery`).  A commit whose effect
+contains a ``U`` atom forces a **full** record instead — attribute
+reads carry no effect atom (the §5
 reference-chasing caveat, the same coarsening :mod:`repro.sched`
 applies), so no smaller bound exists.  Unattributed state changes
 (transaction rollback, :meth:`Database.restore`) likewise log full
@@ -286,11 +288,13 @@ class TailResult:
     """One :func:`tail` poll: the intact frames past a byte offset.
 
     ``offset`` is the position just past the last intact record — the
-    next poll's starting point.  ``reset=True`` means the file shrank
-    below the requested offset (a checkpoint folded the log); the
+    next poll's starting point.  ``reset=True`` means a checkpoint
+    folded the log under the caller: the file shrank below the
+    requested offset, or it regrew with a different first record; the
     caller's offset is meaningless and it must resynchronise from the
-    checkpoint.  ``error`` is the first torn/corrupt frame at
-    ``offset`` — for a live log that is usually an append still in
+    checkpoint.  ``head`` is the frame header of the log's first record
+    once ``offset`` is past it (empty before).  ``error`` is the first
+    torn/corrupt frame at ``offset`` — for a live log that is usually an append still in
     flight, which the next poll will see completed; a *persistent*
     error while the file keeps growing is mid-file corruption.
     """
@@ -300,16 +304,21 @@ class TailResult:
     size: int
     reset: bool = False
     error: WalError | None = None
+    head: bytes = b""
 
 
-def tail(path: str, offset: int) -> TailResult:
+def tail(path: str, offset: int, head: bytes = b"") -> TailResult:
     """Incrementally read intact frames of ``path`` from byte ``offset``.
 
     This is the replication shipper's reader: tolerant like
     :func:`scan`, but resumable — it never re-reads shipped frames and
-    never mutates the file (the primary owns repair).  A missing file
-    or one shorter than ``offset`` reports ``reset`` rather than
-    raising: both mean the stream the offset referred to is gone.
+    never mutates the file (the primary owns repair).  A missing file,
+    one shorter than ``offset``, or one whose first frame header is no
+    longer ``head`` (the previous poll's) reports ``reset`` rather than
+    raising: each means the stream the offset referred to is gone.  The
+    header check catches a log that was reset and regrew to (or past)
+    ``offset``: LSNs never repeat, so a new first record never carries
+    the old one's checksum.
     """
     if not os.path.exists(path):
         return TailResult((), len(MAGIC), 0, reset=offset > len(MAGIC))
@@ -321,7 +330,8 @@ def tail(path: str, offset: int) -> TailResult:
             f"{path}: not a write-ahead log (bad or truncated header)"
         )
     offset = max(offset, len(MAGIC))
-    if size < offset:
+    first = raw[len(MAGIC):len(MAGIC) + _FRAME.size]
+    if size < offset or (head and first != head):
         return TailResult((), offset, size, reset=True)
     records: list[dict] = []
     error: WalError | None = None
@@ -333,7 +343,10 @@ def tail(path: str, offset: int) -> TailResult:
             break
         records.append(record)
         offset = end
-    return TailResult(tuple(records), offset, size, error=error)
+    return TailResult(
+        tuple(records), offset, size, error=error,
+        head=first if offset > len(MAGIC) else b"",
+    )
 
 
 def read_records(path: str) -> list[dict]:

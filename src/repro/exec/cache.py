@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.db.store import Commit, apply_commit
 from repro.effects.algebra import Effect
 from repro.exec.compiler import CompiledPlan
 from repro.lang.ast import Query
@@ -81,6 +82,18 @@ class PlanEntry:
     result_shard_reads: dict | None = field(default=None, repr=False)
 
 
+def _drop_result(entry: PlanEntry) -> PlanEntry:
+    entry.result = None
+    entry.result_effect = None
+    entry.result_version = -1
+    return entry
+
+
+def _restamp_result(entry: PlanEntry, post: int) -> PlanEntry:
+    entry.result_version = post
+    return entry
+
+
 class PlanCache:
     """Per-database cache of compiled plans, bounded, effect-evicted.
 
@@ -125,18 +138,17 @@ class PlanCache:
                 self.evictions += 1
             self._entries[key] = entry
 
-    def note_write(
-        self, effect: Effect, pre: int, post: int, shard_writes=None
-    ) -> None:
-        """A write with this (dynamic) effect moved version pre → post.
+    def note_write(self, c: Commit) -> None:
+        """A write with effect ``c.effect`` moved version pre → post.
 
         Evicts entries whose ``R`` set intersects the written classes
         (Theorem 5 guarantees nothing else read them); promotes the
         surviving entries' cached results to the new version, except
-        under ``U`` atoms, where results are dropped wholesale (see the
-        module docstring for the reference-chasing caveat).
+        under ``U`` atoms, where results are dropped wholesale but
+        plans survive (see the module docstring for the
+        reference-chasing caveat).
 
-        ``shard_writes`` (class → frozenset of shard ids, exact and
+        ``c.shard_writes`` (class → frozenset of shard ids, exact and
         dynamic, sharded classes only) refines ``A``-only eviction to
         ``(class, shard)``: an entry whose recorded result read only
         shards disjoint from every written shard keeps both its plan
@@ -144,47 +156,37 @@ class PlanCache:
         attribute hashing to *i*, so it could never have survived the
         equality predicate that confined the cached run to shard *j*.
         """
-        adds = effect.adds()
-        updates = effect.updates()
-        written = adds | updates
-        if not written:
-            return
-        evicted = 0
+        written = c.effect.writes()
+        updates = c.effect.updates()
+
+        def touched(_, entry: PlanEntry) -> bool:
+            hit = entry.reads & written
+            return bool(hit) and (
+                bool(updates)
+                or not self._shard_disjoint(entry, hit, c.shard_writes)
+            )
+
         with self._lock:
-            for key in list(self._entries):
-                entry = self._entries[key]
-                hit = entry.reads & written
-                if hit:
-                    if (
-                        not updates
-                        and shard_writes is not None
-                        and self._shard_disjoint(entry, hit, shard_writes)
-                    ):
-                        if entry.result_version == pre:
-                            entry.result_version = post
-                        continue
-                    del self._entries[key]
-                    self.evictions += 1
-                    evicted += 1
-                elif updates:
-                    entry.result = None
-                    entry.result_effect = None
-                    entry.result_version = -1
-                elif entry.result_version == pre:
-                    entry.result_version = post
+            evicted = apply_commit(
+                self._entries, c, touched,
+                keep_on_update=_drop_result,
+                version=lambda entry: entry.result_version,
+                restamp=_restamp_result,
+            )
+            self.evictions += evicted
         if evicted:
             _flight.record(
                 "cache-evict",
                 evicted=evicted,
                 written=",".join(sorted(written)),
-                version=post,
+                version=c.post,
             )
 
     @staticmethod
     def _shard_disjoint(entry: PlanEntry, hit, shard_writes) -> bool:
         """Every overlapping class read provably disjoint shards?"""
         reads = entry.result_shard_reads
-        if reads is None:
+        if reads is None or shard_writes is None:
             return False
         for cname in hit:
             wrote = shard_writes.get(cname)

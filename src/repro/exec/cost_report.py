@@ -1,9 +1,9 @@
 """A TD2-style distributed cost report for one query, without running it.
 
-TD2 (the SIGMOD 2003 paper's industrial contemporary in distributed
-query processing) prices a plan by what each *site* scans and what
-moves between sites.  The sharded database has the same shape in
-miniature: each shard is a site, a partition-parallel pipeline runs
+TD2 (a big-data-structures course exercise in query cost analysis)
+prices a plan by what each *site* scans and what moves between
+sites.  The sharded database has the same shape in miniature: each
+shard is a site, a partition-parallel pipeline runs
 per shard, and the merge point pays for the rows the shards emit.
 :func:`build_cost_report` combines the optimizer's
 :class:`~repro.optimizer.cost.CostModel` (extent cardinalities,

@@ -9,11 +9,13 @@ is recovery that never stops.
 
 Freshness is effect-guided, not clock-guided.  Each applied record
 advances **per-extent LSN watermarks** derived from its static write
-effect: a ``delta`` record (an ``A``-only commit, Theorem 5 bounds its
-payload) marks exactly the classes its atoms name; ``full`` and
-``define`` records advance a *star* mark instead, because an in-place
-update or a new definition can be observed by any query through
-reference chains the R-set does not name (the §5 caveat).  A replica
+effect (:func:`repro.db.recovery.record_marks`, shared with the
+primary): a ``delta`` record (an ``A``-only commit, Theorem 5 bounds
+its payload) marks exactly the classes — or, for sharded extents, the
+shards — it added to; ``full`` and ``define`` records advance a *star*
+mark instead, because an in-place update or a new definition can be
+observed by any query through reference chains the R-set does not name
+(the §5 caveat).  A replica
 may serve a query iff, for every class in the query's R-set, its own
 ``max(star, mark[C])`` reaches the primary's — the rule
 ``tests/test_replication_differential.py`` certifies against 200 seeded
@@ -252,34 +254,14 @@ class Replica:
             )
         _recovery.apply_record(self.db, rec)
         self.applied_lsn = lsn
-        kind = rec.get("kind")
-        if kind == "delta":
-            for extent in rec.get("extents", {}):
-                try:
-                    cname = self.db.schema.extent_class(extent)
-                except Exception:
-                    continue
-                self.marks[cname] = lsn
-        elif kind == "shard-delta":
-            # per-shard marks mirror the primary's _mark_written exactly:
-            # a sharded extent advances only its touched shards' keys, so
-            # a reader confined to other shards stays served; extents the
-            # commit touched without a shard stanza advance the class mark
-            shard_map = rec.get("shards", {})
-            for extent in rec.get("adds", {}):
-                try:
-                    cname = self.db.schema.extent_class(extent)
-                except Exception:
-                    continue
-                if extent in shard_map:
-                    for s in shard_map[extent]:
-                        self.marks[f"{cname}#{s}"] = lsn
-                else:
-                    self.marks[cname] = lsn
-        else:
-            # full (U commit, rollback, restore) and define records may
-            # be observed by any query (§5): star mark
-            self.star = lsn
+        # the same keys the primary's _mark_written derived from this
+        # very record: per class or per shard for a delta, the star for
+        # full and define records (§5)
+        for key in _recovery.record_marks(self.db.schema, rec):
+            if key == "*":
+                self.star = lsn
+            else:
+                self.marks[key] = lsn
         self.applied_total += 1
         self._since_audit += 1
         _flight.record(

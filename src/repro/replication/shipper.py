@@ -13,7 +13,8 @@ The robustness surface is in telling three tail conditions apart:
   and the next poll usually sees the frame completed; ship the intact
   prefix and wait;
 * **log reset** (a checkpoint folded the log) — the file shrank below
-  the offset, or it regrew but is frame-aligned only from the header;
+  the offset, its first record changed, or it regrew but is
+  frame-aligned only from the header;
   the shipped stream is gone, so raise :class:`ShipGap` and the
   replica resyncs from the checkpoint;
 * **mid-log corruption** — the same frame stays torn while the file
@@ -48,6 +49,9 @@ class WalShipper:
         self.path = path
         self.offset = len(_wal.MAGIC)
         self.last_lsn = 0
+        # the log's first frame header as of the last poll: a checkpoint
+        # reset changes it even when the log regrows to the same size
+        self._head = b""
         self.polls_total = 0
         self.records_total = 0
         self.gaps_total = 0
@@ -59,6 +63,7 @@ class WalShipper:
         """Re-home the stream after a resync: next poll reads from here."""
         self.offset = max(offset, len(_wal.MAGIC))
         self.last_lsn = lsn
+        self._head = _wal.tail(self.path, self.offset).head
         self._pending_error = None
 
     def poll(self) -> tuple[dict, ...]:
@@ -72,13 +77,14 @@ class WalShipper:
         """
         maybe_fault("replica.ship")
         self.polls_total += 1
-        t = _wal.tail(self.path, self.offset)
+        t = _wal.tail(self.path, self.offset, self._head)
         if t.reset:
             self.gaps_total += 1
             self._pending_error = None
             raise ShipGap(
-                f"{self.path}: log shrank below ship offset {self.offset} "
-                "(checkpoint fold) — resync from the checkpoint"
+                f"{self.path}: log was reset under ship offset "
+                f"{self.offset} (checkpoint fold) — resync from the "
+                "checkpoint"
             )
         if t.error is not None and not t.records and t.offset == self.offset:
             self._check_stalled_tail(t)
@@ -87,6 +93,7 @@ class WalShipper:
         else:
             self._pending_error = None
         self.offset = t.offset
+        self._head = t.head
         records = tuple(r for r in t.records if r["lsn"] > self.last_lsn)
         if records:
             self.last_lsn = records[-1]["lsn"]

@@ -20,9 +20,14 @@ static licence for that overlap:
 The conflict predicate is deliberately coarser than bare
 ``Effect.interferes_with``:
 
-* **writer–writer always conflicts** — a commit installs a whole new
-  EE/OE pair; there is no merge, so concurrent writers would lose
-  updates even when their effects are disjoint;
+* **writer–writer always conflicts** — writers run in admission order
+  so that oids are allocated exactly as a sequential run allocates
+  them, and the final EE/OE is *equal* to the sequential one, not
+  merely ∼-equivalent.  (The ``A``-only install merges a commit's
+  delta into the current state, so overlapped ``A``-only writers would
+  lose nothing; only their oid names would differ.  Shard-disjoint
+  writers are allowed to overlap on exactly that ∼ argument — see
+  :func:`shard_conflicts`.)
 * **an update (``U``) conflicts with everything** — attribute reads
   carry no effect atom (the reference-chasing caveat of §5: a query
   whose ``R`` set avoids ``C`` can still observe ``C``-state through a
@@ -68,9 +73,10 @@ def conflicts(a: Effect, b: Effect) -> bool:
     The base case is Figure 3 interference — one side writes a class
     the other reads, or both update a class.  On top of that the
     scheduler adds the two coarsenings argued in the module docstring:
-    writers never overlap each other (commit is wholesale EE/OE
-    replacement), and an updater never overlaps anything (reference
-    chasing escapes the R-set).
+    writers never overlap each other (admission-order oid allocation
+    keeps the final state equal, not merely ∼, to the sequential
+    run's), and an updater never overlaps anything (reference chasing
+    escapes the R-set).
     """
     if a.interferes_with(b):
         return True
@@ -98,7 +104,7 @@ def shard_conflicts(
       pruned at run time (pruning changes what is *scanned*, never
       what is *kept*);
     * two ``A``-only writers into disjoint shards commute under the
-      per-shard merge-install (fresh oids are globally unique and set
+      merge-install (fresh oids are globally unique and set
       union is order-insensitive), so they may overlap when the caller
       allows it (``allow_writer_overlap`` is off under ``atomic``
       batches, whose rollback restores extents wholesale).
@@ -353,8 +359,8 @@ class QueryScheduler:
         :func:`conflicts` refined by :func:`shard_conflicts` — pairs
         provably confined to disjoint shards of every shared class
         drop their edge, including (when ``allow_writer_overlap``)
-        ``A``-only writer pairs, which the per-shard merge-install
-        makes commutative.
+        ``A``-only writer pairs, which the merge-install makes
+        commutative.
 
         A **pinned** read takes no part in the graph at all: it already
         holds the immutable snapshot it will answer from, so it neither

@@ -2,11 +2,13 @@
 
 Covers ``repro.db.shards`` directly (stable crc32 assignment, partition
 caching and identity reuse, spec validation), the ``Database.shard``
-surface, the ``shard.install`` fault site's whole-commit atomicity, the
-``shard-delta`` WAL record (replay, crash points, checkpoint
-round-trip) and the primary's per-shard write marks.
+surface, the ``shard.install`` fault site's whole-commit atomicity,
+the additive ``delta`` WAL record's ``shards`` stanza (replay, crash
+points, checkpoint round-trip, legacy record kinds) and the primary's
+per-shard write marks.
 """
 
+import shutil
 import zlib
 
 import pytest
@@ -24,10 +26,10 @@ from repro.db.shards import (
     static_write_shards,
     validate_spec,
 )
-from repro.db.wal import read_records, truncate_to
+from repro.db.wal import WriteAheadLog, read_records, truncate_to
 from repro.errors import ReproError
 from repro.lang.ast import BoolLit, IntLit, OidRef, StrLit
-from repro.replication.replica import state_digest
+from repro.replication.replica import Replica, state_digest
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 
 ODL = """
@@ -297,7 +299,7 @@ class TestShardInstallAtomicity:
 
 
 # ---------------------------------------------------------------------------
-# shard-delta WAL records: shape, replay, crash points, checkpoints
+# sharded delta WAL records: shape, replay, crash points, checkpoints
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +309,7 @@ class TestShardDeltaWal:
         db.attach_wal(str(tmp_path / "wal"))
         db.insert("Person", name="a", region="r2", age=3)
         rec = read_records(recovery.wal_path(str(tmp_path / "wal")))[-1]
-        assert rec["kind"] == "shard-delta"
+        assert rec["kind"] == "delta"
         assert list(rec["adds"]) == ["Persons"]
         per_shard = rec["shards"]["Persons"]
         assert set(per_shard) == {str(shard_of(StrLit("r2"), 4))}
@@ -320,7 +322,7 @@ class TestShardDeltaWal:
         db.attach_wal(str(tmp_path / "wal"))
         db.insert("Note", body="hello")
         rec = read_records(recovery.wal_path(str(tmp_path / "wal")))[-1]
-        # shard-delta carries the adds, but no shard ids for Notes —
+        # the delta carries the adds, but no shard ids for Notes —
         # replicas fall back to the class-level watermark
         assert "Notes" in rec["adds"]
         assert "Notes" not in rec.get("shards", {})
@@ -355,8 +357,6 @@ class TestShardDeltaWal:
         for j, cut in enumerate(sizes):
             crash = tmp_path / f"crash{j}"
             crash.mkdir()
-            import shutil
-
             shutil.copy(
                 recovery.checkpoint_path(wal_dir),
                 recovery.checkpoint_path(str(crash)),
@@ -409,6 +409,63 @@ class TestWriteMarks:
         db.attach_wal(str(tmp_path / "wal"))
         db.insert("Note", body="x")
         assert db.write_marks()["Note"] == db._wal.last_lsn
+        db.close()
+
+
+class TestLegacyLog:
+    """Logs written before the additive ``delta`` still recover and ship."""
+
+    def test_mixed_legacy_log_matches_the_primary(self, tmp_path):
+        primary_dir = str(tmp_path / "primary")
+        legacy_dir = tmp_path / "legacy"
+        legacy_dir.mkdir()
+        db = make_db(k=4)
+        db.attach_wal(primary_dir)  # the checkpoint carries the layout
+        shutil.copy(
+            recovery.checkpoint_path(primary_dir),
+            recovery.checkpoint_path(str(legacy_dir)),
+        )
+        # tails the legacy log from its first record, like a live replica
+        replica = Replica("legacy", directory=str(legacy_dir))
+        db.insert("Person", name="a", region="r1", age=1)
+        db.insert("Note", body="x")
+        db.run('new Person(name: "b", region: "r2", age: 2)')
+        db.define("define adults() as { p | p <- Persons, p.age > 1 };")
+        db.insert("Note", body="y")
+        db.run('{ new Note(body: p.name) | p <- Persons, p.age > 1 }')
+        db.insert("Person", name="c", region="r1", age=3)
+
+        # rewrite the primary's records in every format a log may hold:
+        # Note-only deltas as wholesale-membership deltas, the first two
+        # sharded deltas as shard-delta records, the rest unchanged
+        legacy, notes, sharded = [], set(), 0
+        for rec in read_records(recovery.wal_path(primary_dir)):
+            rec = {k: v for k, v in rec.items() if k != "lsn"}
+            if rec["kind"] == "delta":
+                notes |= set(rec["adds"].get("Notes", ()))
+                if list(rec["adds"]) == ["Notes"]:
+                    adds = rec.pop("adds")
+                    rec["extents"] = {"Notes": sorted(notes)}
+                    assert "shards" not in rec and adds
+                elif "shards" in rec and sharded < 2:
+                    rec["kind"] = "shard-delta"
+                    sharded += 1
+            legacy.append(rec)
+        kinds = [
+            "wholesale" if "extents" in r else r["kind"] for r in legacy
+        ]
+        assert {"wholesale", "shard-delta", "delta", "define"} <= set(kinds)
+        log = WriteAheadLog(recovery.wal_path(str(legacy_dir)), sync=False)
+        for rec in legacy:
+            log.append(rec)
+        log.close()
+
+        want = state_digest(db)
+        assert replica.poll() == len(legacy)
+        assert state_digest(replica.db) == want
+        assert {**replica.marks, "*": replica.star} == db.write_marks()
+        recovered = recovery.recover(str(legacy_dir), attach=False).db
+        assert state_digest(recovered) == want
         db.close()
 
 

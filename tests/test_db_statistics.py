@@ -10,6 +10,7 @@ staleness signal: it bumps only on geometric row-count drift.
 import pytest
 
 from repro.db.database import Database
+from repro.db.store import Commit
 from repro.db.statistics import (
     EXACT_DISTINCT_CAP,
     HISTOGRAM_BUCKETS,
@@ -225,14 +226,18 @@ class TestCatalogMaintenance:
         db.analyze()
         assert len(db._stats) > 0
         db._stats.note_write(
-            db.schema, Effect.of(update("Item")), 0, 1
+            Commit(Effect.of(update("Item")), 0, 1, db.schema, db.ee, db.oe)
         )
         assert len(db._stats) == 0
 
     def test_add_without_oids_evicts_touched_extent(self, db):
         db.analyze()
         pre = db._state_version
-        db._stats.note_write(db.schema, Effect.of(add("Item")), pre, pre + 1)
+        db._stats.note_write(
+            Commit(
+                Effect.of(add("Item")), pre, pre + 1, db.schema, db.ee, db.oe
+            )
+        )
         snap = db._stats.snapshot()
         assert "Items.price" not in snap["columns"]
         assert "Others.n" in snap["columns"]

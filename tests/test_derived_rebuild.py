@@ -1,0 +1,260 @@
+"""Every derived structure equals a from-scratch rebuild after every commit.
+
+The database keeps four structures derived from EE/OE — the plan/result
+cache, the attribute indexes, the closure (interval) indexes and the
+column statistics — plus the shard partitions, and maintains all of
+them across commits by one Theorem 5 rule
+(:func:`repro.db.store.apply_commit`): evict what a write touched, fold
+an ``A``-only commit's adds forward where possible, promote the rest.
+A promotion is a claim that the entry is still exact at the new store
+version.  This suite checks every such claim: it replays the existing
+scheduler, shard, WAL and traverse differential corpora (their own
+generators and seeds) with a hook after each commit's maintenance that
+rebuilds every entry stamped with the new version and compares.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.db.statistics import ColumnStats
+from repro.db.store import build_closure_index
+from repro.exec.runtime import build_attr_index
+from repro.semantics.bigstep import evaluate_bigstep
+from repro.semantics.bijection import values_equivalent
+from tests.test_sched_differential import _twins as sched_twins
+from tests.test_shard_differential import build_twins, make_statement
+from tests.test_traverse_differential import (
+    DEPTHS,
+    SHAPES,
+    pick_start,
+    query_src,
+)
+from tests.test_wal_differential import _twins as wal_twins
+from tests.traverse_helpers import graph_db
+
+KINDS = ("results", "attr_indexes", "shard_parts", "closure_indexes", "stats")
+
+
+def _as_sets(idx: dict) -> dict:
+    return {value: frozenset(refs) for value, refs in idx.items()}
+
+
+def check_results(db, counts) -> None:
+    version = db._state_version
+    cache = db._plan_cache
+    with cache._lock:
+        entries = list(cache._entries.items())
+    for (q, _, defs_version), entry in entries:
+        if (
+            entry.result is None
+            or entry.result_version != version
+            or defs_version != db._defs_version
+        ):
+            continue
+        big = evaluate_bigstep(db.machine, db.ee, db.oe, q)
+        # read-only: both sides name the same objects, so canonical
+        # values are equal; ∼ is the fallback for non-canonical forms
+        assert entry.result == big.value or values_equivalent(
+            entry.result, db.oe, big.value, big.oe
+        ), f"cached result of {q} is stale at version {version}"
+        counts["results"] += 1
+
+
+def check_attr_indexes(db, counts) -> None:
+    version, ee, oe = db._state_version, db.ee, db.oe
+    indexes = db._indexes
+    with indexes._lock:
+        plain = list(indexes._indexes.items())
+        sharded = list(indexes._sharded.items())
+    for (extent, attr), (v, idx) in plain:
+        if v == version:
+            fresh = build_attr_index(oe, ee.members(extent), attr)
+            assert _as_sets(idx) == _as_sets(fresh), f"index {extent}.{attr}"
+            counts["attr_indexes"] += 1
+    shards = db._shards
+    for (extent, attr), (parts, partials, merged) in sharded:
+        hit = shards._parts.get(extent)
+        if hit is None or hit[0] != version or hit[1] is not parts:
+            continue  # not the live partition: get() rebuilds it
+        for part, partial in zip(parts, partials):
+            if partial is not None:
+                fresh = build_attr_index(oe, part, attr)
+                assert _as_sets(partial) == _as_sets(fresh), (
+                    f"shard partial of {extent}.{attr}"
+                )
+        if merged is not None:
+            fresh = build_attr_index(oe, ee.members(extent), attr)
+            assert _as_sets(merged) == _as_sets(fresh), f"merged {extent}.{attr}"
+        counts["attr_indexes"] += 1
+
+
+def check_shard_parts(db, counts) -> None:
+    version, ee, oe = db._state_version, db.ee, db.oe
+    shards = db._shards
+    with shards._lock:
+        parts = list(shards._parts.items())
+    for extent, (v, got) in parts:
+        if v == version:
+            want = shards._split(shards.spec(extent), ee.members(extent), oe)
+            assert got == want, f"partition of {extent}"
+            counts["shard_parts"] += 1
+
+
+def check_closure_indexes(db, counts) -> None:
+    version, ee, oe = db._state_version, db.ee, db.oe
+    store = db._closure_indexes
+    with store._lock:
+        items = list(store._indexes.items())
+    for (attr, classes), (v, _sig, idx) in items:
+        if v != version:
+            continue
+        fresh = build_closure_index(db.schema, ee, oe, attr, classes)
+        for field in ("cyclic", "usable", "pre", "posts", "order", "parent"):
+            assert getattr(idx, field) == getattr(fresh, field), (
+                f"closure index {attr} over {sorted(classes)}: {field}"
+            )
+        for extent, closure in list(idx._extent_stabs.items()):
+            assert closure == fresh.closure_of_extent(ee, extent), (
+                f"memoised closure of {extent}"
+            )
+        counts["closure_indexes"] += 1
+
+
+def check_stats(db, counts) -> None:
+    """Folding is exact on counts, distincts and frequencies; the folded
+    histogram only has to cover the same rows and range as a rebuild's
+    (folds extend buckets instead of re-cutting them)."""
+    version, ee, oe = db._state_version, db.ee, db.oe
+    catalog = db._stats
+    with catalog._lock:
+        columns = list(catalog._columns.items())
+    for (extent, attr), (v, stats) in columns:
+        if v != version:
+            continue
+        fresh = ColumnStats.build(extent, attr, oe, ee.members(extent))
+        label = f"stats {extent}.{attr}"
+        assert stats.rows == fresh.rows, label
+        assert stats._numeric == fresh._numeric, label
+        assert stats.distinct() == fresh.distinct(), label
+        if stats._exact is not None and fresh._exact is not None:
+            assert stats._exact == fresh._exact, label
+            assert stats._freq == fresh._freq, label
+        if stats.has_histogram and fresh.has_histogram:
+            assert sum(stats._counts) == stats._hist_rows == stats.rows, label
+            assert stats._min == fresh._min, label
+            assert stats._bounds[-1] == fresh._bounds[-1], label
+        counts["stats"] += 1
+
+
+CHECKS = (
+    check_results,
+    check_attr_indexes,
+    check_shard_parts,
+    check_closure_indexes,
+    check_stats,
+)
+
+
+def watch(db, counts) -> None:
+    """Run every rebuild check right after each commit's maintenance."""
+    note_write = db._note_write
+
+    def checked(*args, **kwargs):
+        note_write(*args, **kwargs)
+        counts["commits"] += 1
+        for check in CHECKS:
+            check(db, counts)
+
+    db._note_write = checked
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return dict.fromkeys(("commits",) + KINDS, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sched_corpus(seed, counts):
+    db_seq, db_par, gen = sched_twins(seed)
+    for db in (db_seq, db_par):
+        db.analyze()
+        watch(db, counts)
+    for _ in range(4):
+        sources = [gen.query(gen.random_type()) for _ in range(6)]
+        for src in sources:
+            try:
+                db_seq.run(src)
+            except Exception:  # noqa: BLE001 - failures commit nothing
+                pass
+        db_par.run_many(sources, workers=4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shard_corpus(seed, counts):
+    sharded, plain = build_twins(seed)
+    rng = random.Random(92_000 + seed)
+    for db in (sharded, plain):
+        db.analyze()
+        watch(db, counts)
+    for b in range(4):
+        batch = [make_statement(rng, f"w{seed}_{b}_{s}")[0] for s in range(6)]
+        sharded.run_many(batch, workers=3)
+        for src in batch:
+            plain.run(src)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wal_corpus(seed, counts, tmp_path):
+    _, db_wal, gen = wal_twins(seed, str(tmp_path / "durable"))
+    db_wal.analyze()
+    watch(db_wal, counts)
+    for _ in range(4):
+        sources = [gen.query(gen.random_type()) for _ in range(6)]
+        db_wal.run_many(sources, workers=3)
+    db_wal.close()
+
+
+@pytest.mark.parametrize("sharded", (False, True))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_traverse_corpus(shape, sharded, counts):
+    rng = random.Random(f"{shape}-0")
+    edges = SHAPES[shape](rng)
+    db = graph_db(edges)
+    if sharded:
+        db.shard("Ref", k=4)
+    db.analyze()
+    watch(db, counts)
+    leaf = None
+    for i, depth in enumerate(DEPTHS):
+        source, _ = pick_start(rng, edges)
+        db.run(query_src(source, depth))
+        db.run(query_src("refs", None))  # warm the interval index
+        # alternate writes outside the cone (promote) and inside (evict)
+        if i % 3 == 0:
+            db.run(f"new Other(x: {i})")
+        elif i % 3 == 1:
+            leaf = db.insert("Node", tag=100 + i)
+        else:
+            db.run(f"new Ref(tag: {100 + i}, next: {leaf.name})")
+    db.run_many(
+        [
+            query_src("refs", None),
+            "new Node(tag: 999)",
+            query_src("nodes", None),
+            "new Other(x: 999)",
+            query_src("refs", 2),
+        ],
+        workers=4,
+    )
+
+
+def test_every_kind_was_compared(counts):
+    # runs after the corpus tests above: a rebuild check that never
+    # found an entry to compare would pass vacuously
+    if not counts["commits"]:
+        pytest.skip("only meaningful after the corpus tests")
+    for kind in KINDS:
+        assert counts[kind] > 0, f"no {kind} were ever checked: {counts}"

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.db.database import Database
+from repro.db.store import Commit
 from repro.effects.algebra import Effect, add, update
 from repro.errors import TransientFault
 from repro.exec.cache import PlanCache, PlanEntry, schema_fingerprint
@@ -173,31 +174,35 @@ class TestNoteWriteUnit:
             result_version=version,
         )
         cache.put(db.parse("1"), 0, entry)
-        return cache, entry
+        return cache, entry, db
+
+    @staticmethod
+    def _commit(db, effect: Effect) -> Commit:
+        return Commit(effect, 5, 6, db.schema, db.ee, db.oe)
 
     def test_add_atom_evicts_intersecting_reader(self):
-        cache, _ = self._cache_with(frozenset({"Person"}), 5)
-        cache.note_write(Effect.of(add("Person")), 5, 6)
+        cache, _, db = self._cache_with(frozenset({"Person"}), 5)
+        cache.note_write(self._commit(db, Effect.of(add("Person"))))
         assert len(cache) == 0
 
     def test_add_atom_promotes_disjoint_reader(self):
-        cache, entry = self._cache_with(frozenset({"Pet"}), 5)
-        cache.note_write(Effect.of(add("Person")), 5, 6)
+        cache, entry, db = self._cache_with(frozenset({"Pet"}), 5)
+        cache.note_write(self._commit(db, Effect.of(add("Person"))))
         assert len(cache) == 1
         assert entry.result_version == 6
 
     def test_update_atom_drops_all_results(self):
         # attribute reads carry no effect atom, so a disjoint R set does
         # NOT prove independence from a U write (reference chasing)
-        cache, entry = self._cache_with(frozenset({"Pet"}), 5)
-        cache.note_write(Effect.of(update("Person")), 5, 6)
+        cache, entry, db = self._cache_with(frozenset({"Pet"}), 5)
+        cache.note_write(self._commit(db, Effect.of(update("Person"))))
         assert len(cache) == 1  # the plan survives
         assert entry.result is None  # the result does not
         assert entry.result_version == -1
 
     def test_read_only_effect_is_a_noop(self):
-        cache, entry = self._cache_with(frozenset({"Person"}), 5)
-        cache.note_write(Effect.of(), 5, 6)
+        cache, entry, db = self._cache_with(frozenset({"Person"}), 5)
+        cache.note_write(self._commit(db, Effect.of()))
         assert len(cache) == 1
         assert entry.result_version == 5
 

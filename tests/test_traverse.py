@@ -27,6 +27,7 @@ import pytest
 from repro.db.database import Database
 from repro.db.store import (
     ClosureIndexes,
+    Commit,
     ExtentEnv,
     ObjectEnv,
     ObjectRecord,
@@ -409,7 +410,7 @@ class TestTheorem5Eviction:
     def test_update_drops_all(self):
         db = self.warmed()
         db._closure_indexes.note_write(
-            db.schema, Effect.of(update("Other")), 0, 1
+            Commit(Effect.of(update("Other")), 0, 1, db.schema, db.ee, db.oe)
         )
         assert len(db._closure_indexes) == 0
 
@@ -420,7 +421,9 @@ class TestTheorem5Eviction:
         for cone in (frozenset({"Node"}), frozenset({"Node", "Ref"})):
             store.get(db.schema, db.ee, db.oe, 0, "next", cone)
         assert len(store) == 2
-        store.note_write(db.schema, Effect.of(add("Ref")), 0, 1)
+        store.note_write(
+            Commit(Effect.of(add("Ref")), 0, 1, db.schema, db.ee, db.oe)
+        )
         # only the cone containing Ref is dropped
         assert len(store) == 1
         (key,) = store._indexes.keys()
