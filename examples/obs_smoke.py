@@ -9,7 +9,8 @@ Three acts, each asserting what CI's obs-smoke job gates on:
 1. ``.explain analyze`` over the compiled-engine benchmark workloads —
    every operator node must carry both an *estimated* and an *actual*
    cardinality (the estimated-vs-actual comparison is the profiler's
-   whole point), and the machine-readable ``profile_dict()`` must
+   whole point), the tree must be the one ``.explain cost`` shows
+   unexecuted, and the machine-readable ``profile_dict()`` must
    round-trip through JSON;
 2. a forced ``wal.fsync`` fault mid-commit — the flight recorder must
    leave a parseable ``flight.jsonl`` post-mortem next to the log
@@ -53,12 +54,17 @@ def act_1_profiler(db) -> None:
             d = node.as_dict()
             assert d["est_rows"] is not None, f"node {d['label']}: no estimate"
             assert d["rows_out"] is not None, f"node {d['label']}: no actual"
+        unexecuted = db.explain_cost(src)
+        assert [n.label for n in unexecuted.nodes] == [
+            n.label for n in prof.nodes
+        ], "explain cost and explain analyze disagree on the tree"
+        assert unexecuted.notes == prof.notes
         round_tripped = json.loads(json.dumps(prof.profile_dict()))
         assert round_tripped["nodes"], "profile_dict lost the tree"
         print(prof.render())
         print()
     print(f"act 1 ok: {len(WORKLOADS)} profiled queries, every node has "
-          "estimate + actual\n")
+          "estimate + actual, one tree for cost and analyze\n")
 
 
 def act_2_flight_recorder(db, wal_dir: str) -> None:

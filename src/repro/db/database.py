@@ -68,6 +68,7 @@ from repro.exec.engine import (
     PlanDecision,
     decide as _decide_engine,
     execute_plan,
+    explain as _explain,
     route_read as _route_read,
 )
 from repro.obs import flight as _flight
@@ -1102,20 +1103,19 @@ class Database:
             self._closure_indexes.clear()
         return spec
 
-    def explain_cost(self, source: str | Query):
-        """A TD2-style distributed cost report for one query.
+    def explain_cost(self, source: str | Query) -> "QueryProfile":
+        """The explain tree of one query, without executing it.
 
-        Estimates, per extent access, how many shards the compiled
-        plan would touch, the rows scanned after shard pruning, the
-        predicate selectivities applied, and the rows/bytes moved at
-        each merge point — without executing the query.  Returns a
-        :class:`~repro.exec.cost_report.CostReport` whose ``render()``
-        pretty-prints and whose ``to_dict()`` is JSON-safe (the shell's
-        ``.explain cost``).
+        The plan ``run`` would execute, compiled in profile mode: per
+        operator the cost model's estimated rows, per extent access
+        the shards the plan touches (after pruning) and the rows it
+        scans, per comprehension the rows and bytes it hands to its
+        merge point, plus the plan's notes.  A query the compiled
+        engine refuses reports its decision and no operator tree.
+        Returns a :class:`~repro.obs.profile.QueryProfile` whose
+        ``render()`` is the shell's ``.explain cost``.
         """
-        from repro.exec.cost_report import build_cost_report
-
-        return build_cost_report(self, self.parse(source))
+        return _explain(self, source)
 
     def _note_failure(self, exc: Exception, reason: str | None = None) -> None:
         """Count one failed :meth:`run` and dump the flight ring.
@@ -1145,79 +1145,18 @@ class Database:
     ) -> "QueryProfile":
         """Run ``source`` with per-operator instrumentation; never commits.
 
-        Compiled-engine queries come back as a tree of operator nodes,
-        each carrying the optimizer's *estimated* cardinality next to
-        the *actual* row count and self/total time — the
-        estimated-vs-actual comparison ``.explain`` alone cannot give.
-        Queries the compiler refuses fall back to the reduction
-        machine and report a reduction-rule histogram instead of an
-        operator tree.  :meth:`~repro.obs.profile.QueryProfile.render`
-        pretty-prints; ``profile_dict()`` is the machine-readable form.
+        Compiled-engine queries come back as :meth:`explain_cost`'s
+        tree after one run, each node carrying the optimizer's
+        *estimated* cardinality next to the *actual* row count and
+        self/total time — the estimated-vs-actual comparison
+        ``.explain`` alone cannot give.  Queries the compiler refuses
+        run on the reduction machine and report a reduction-rule
+        histogram instead of an operator tree.
+        :meth:`~repro.obs.profile.QueryProfile.render` pretty-prints;
+        ``profile_dict()`` is the machine-readable form.
         """
-        from repro.obs import events as _events
-        from repro.obs.profile import QueryProfile, build_nodes
-
-        q = self.parse(source)
-        self.typecheck(q)
-        src_text = source if isinstance(source, str) else pretty(q)
-        decision = self.plan_decision(q)
-        if decision.engine == "compiled":
-            from repro.exec.engine import compile_profiled, execute_profiled
-
-            plan, normalised, model = compile_profiled(self, q)
-            value, ctx, run, elapsed = execute_profiled(
-                self, plan, budget=budget
-            )
-            items = getattr(value, "items", None)
-            rows = len(items) if items is not None else 1
-            nodes = build_nodes(plan.ops, run, result_rows=rows)
-            return QueryProfile(
-                query=src_text,
-                engine="compiled",
-                elapsed_s=elapsed,
-                fuel=ctx.ops,
-                effect=str(ctx.effect()),
-                est_cost=model.eval_cost(normalised),
-                actual_steps=ctx.ops,
-                nodes=nodes,
-                summary={
-                    "rows": rows,
-                    "scans": run.scans,
-                    "index_lookups": run.index_lookups,
-                    "plan_notes": list(plan.notes),
-                    "decision": decision.reason,
-                },
-                value=value,
-            )
-        from repro.optimizer.cost import CostModel
-        from time import perf_counter
-
-        with _events.capture() as captured:
-            t0 = perf_counter()
-            result = evaluate(
-                self.machine, self.ee, self.oe, q,
-                strategy=FIRST, max_steps=max_steps, budget=budget,
-            )
-            elapsed = perf_counter() - t0
-        rules: dict[str, int] = {}
-        for ev in captured:
-            rules[ev.rule] = rules.get(ev.rule, 0) + 1
-        return QueryProfile(
-            query=src_text,
-            engine="reduction",
-            elapsed_s=elapsed,
-            fuel=result.steps,
-            effect=str(result.effect),
-            est_cost=CostModel.from_database(self).eval_cost(q),
-            actual_steps=result.steps,
-            nodes=[],
-            summary={
-                "rows": len(getattr(result.value, "items", ()) or ())
-                or 1,
-                "rules": rules,
-                "decision": decision.reason,
-            },
-            value=result.value,
+        return _explain(
+            self, source, analyze=True, budget=budget, max_steps=max_steps
         )
 
     def health(self) -> dict:

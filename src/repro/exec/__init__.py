@@ -26,7 +26,7 @@ Modules:
   through the operators;
 * :mod:`repro.exec.cache` — the effect-invalidated plan/result cache;
 * :mod:`repro.exec.engine` — the entry points used by
-  :meth:`repro.db.database.Database.run`.
+  :meth:`repro.db.database.Database.run` and the explain surfaces.
 """
 
 from repro.exec.cache import PlanCache, PlanEntry, schema_fingerprint

@@ -37,6 +37,7 @@ raise :class:`NotCompilable`; the caller falls back to the machine.
 
 from __future__ import annotations
 
+import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -136,7 +137,8 @@ class CompiledPlan:
     ``ops`` is non-empty only for plans compiled with ``profile=True``:
     one :class:`~repro.obs.profile.OpDescr` per pipeline operator, in
     pipeline order, each carrying the cost model's estimated output
-    cardinality — the static half of ``.explain analyze``.
+    cardinality, extent nodes their shard access and comprehension
+    nodes their merge rows and bytes — the explain tree.
     """
 
     fn: Callable
@@ -164,38 +166,26 @@ _COLLECTION_SYNTAX = (
     Traverse,
 )
 
-#: Bounded depths up to this limit compile to the GREEN route: the hop
-#: loop is unrolled into a tuple of per-hop step closures at compile
-#: time.  Deeper bounds go YELLOW (iterative semi-naive chase);
-#: unbounded goes RED (persistent interval index, chase fallback).
-GREEN_TRAVERSE_DEPTH = 8
+#: Flat estimate of one row crossing a merge point, in bytes: an oid
+#: ref or a small tuple (the ``size_msg`` of a per-site cost analysis).
+ROW_BYTES = 24
 
 
-def _traverse_hop(attr: str):
-    """One unrolled GREEN hop: advance the frontier by one link.
+def _index_attr(gen: Gen, build_q: Query) -> str | None:
+    """The attribute a hash join's build side keys a bare extent by.
 
-    Mirrors the chase's discipline exactly — one ``charge`` per frontier
-    node, a missing attribute or non-object value is a leaf, an already
-    seen target is skipped (semi-naive), a dangling reference raises.
+    Such a join is served by the persistent
+    :class:`~repro.db.store.AttributeIndexes` instead of an ad-hoc
+    hash build; any other build side returns None.
     """
-    from repro.semantics.traverse import attr_value
-
-    def step(ctx, seen: set, frontier: list) -> list:
-        oe = ctx.oe
-        nxt: list = []
-        for o in frontier:
-            ctx.charge()
-            val = attr_value(oe.get(o), attr)
-            if not isinstance(val, OidRef) or val.name in seen:
-                continue
-            seen.add(val.name)
-            cname = oe.get(val.name).cname
-            ctx.reads.add(cname)
-            ctx.note_shard_read(cname, None)
-            nxt.append(val.name)
-        return nxt
-
-    return step
+    if (
+        isinstance(gen.source, ExtentRef)
+        and isinstance(build_q, Field)
+        and isinstance(build_q.target, Var)
+        and build_q.target.name == gen.var
+    ):
+        return build_q.name
+    return None
 
 
 def compile_plan(
@@ -558,23 +548,17 @@ class _Compiler:
     def _compile_traverse(self, q: Traverse) -> Callable:
         """Complexity-routed recursive closure (see module docstring).
 
-        GREEN (depth <= :data:`GREEN_TRAVERSE_DEPTH`) unrolls the hop
-        loop into a fixed tuple of step closures; YELLOW (deeper bounds)
-        runs the shared semi-naive chase; RED (unbounded) answers from
-        the persistent interval index when the reference graph over the
-        cone is acyclic and falls back to the chase otherwise.  All
-        three charge one budget unit per visited node and record their
-        reads in the context's dynamic ``R`` trace, so the compiled
-        effect stays inside the static closure bound.
+        YELLOW (any bounded depth) runs the shared semi-naive chase;
+        RED (unbounded) answers from the persistent interval index when
+        the reference graph over the cone is acyclic and falls back to
+        the chase otherwise.  Both charge one budget unit per visited
+        node and record their reads in the context's dynamic ``R``
+        trace, so the compiled effect stays inside the static closure
+        bound.
         """
         attr = q.attr
         depth = q.depth
-        if depth is not None and depth <= GREEN_TRAVERSE_DEPTH:
-            route = "green"
-        elif depth is not None:
-            route = "yellow"
-        else:
-            route = "red"
+        route = "yellow" if depth is not None else "red"
         bound = f"depth<={depth}" if depth is not None else "unbounded"
         self.notes.append(f"traverse route: {route} ({attr!r}, {bound})")
 
@@ -612,37 +596,6 @@ class _Compiler:
                         raise StuckError(f"traverse over non-object {item}")
                     start.append(item.name)
                 return start
-
-        if route == "green":
-            steps = tuple(_traverse_hop(attr) for _ in range(depth))
-
-            def green_fn(ctx, env):
-                start = start_oids(ctx, env)
-                maybe_fault("exec.traverse")
-                seen: set = set()
-                frontier: list = []
-                for o in start:
-                    if o in seen:
-                        continue
-                    seen.add(o)
-                    ctx.charge()
-                    cname = ctx.oe.get(o).cname
-                    ctx.reads.add(cname)
-                    ctx.note_shard_read(cname, None)
-                    frontier.append(o)
-                for step in steps:
-                    if not frontier:
-                        break
-                    frontier = step(ctx, seen, frontier)
-                if ctx.obs:
-                    from repro.obs.metrics import REGISTRY
-
-                    REGISTRY.counter(
-                        "exec_traverse_total", route="green"
-                    ).inc()
-                return make_oid_set(seen)
-
-            return green_fn
 
         if route == "yellow":
 
@@ -803,16 +756,23 @@ class _Compiler:
                 stage = self._wrap_stage(
                     pop, self._pred_stage(cond_fn, stage)
                 )
+            spec = (
+                self.shards.spec(gen.source.name)
+                if self.shards is not None
+                and isinstance(gen.source, ExtentRef)
+                else None
+            )
+            pruned = False
             with self._under(gop):
                 if joins[i - 1] is not None:
                     stage = self._join_stage(gen, joins[i - 1], stage)
-                elif (
-                    not dup_vars
-                    and self.shards is not None
-                    and isinstance(gen.source, ExtentRef)
-                    and self.shards.spec(gen.source.name) is not None
-                ):
-                    spec = self.shards.spec(gen.source.name)
+                    attr = _index_attr(gen, joins[i - 1][1])
+                    pruned = (
+                        spec is not None
+                        and attr is not None
+                        and spec.by == attr
+                    )
+                elif not dup_vars and spec is not None:
                     probe_q = (
                         self._pick_shard_probe(
                             gen.var,
@@ -824,6 +784,7 @@ class _Compiler:
                         if spec.by is not None
                         else None
                     )
+                    pruned = probe_q is not None
                     stage = self._sharded_gen_stage(
                         gen,
                         gen_uncorrelated[i - 1],
@@ -840,6 +801,10 @@ class _Compiler:
                             gen, gen_uncorrelated[i - 1], var_extents
                         ),
                     )
+            if gop is not None and isinstance(gen.source, ExtentRef):
+                self.ops[gop].extra["access"] = self._access(
+                    gen.source, spec, pruned
+                )
             stage = self._wrap_stage(gop, stage)
         preds = slot_preds[0]
         for k in range(len(preds) - 1, -1, -1):
@@ -871,12 +836,17 @@ class _Compiler:
 
         model = self.model
         mult = self._mult  # estimated executions of this comprehension
+        merge_rows = mult * model.cardinality(q)
         comp_op = self._new_op(
             "comp",
             pretty(q),
             parent=self._cur_parent,
-            est_rows=mult * model.cardinality(q),
+            est_rows=merge_rows,
             est_calls=mult,
+        )
+        # what the comprehension's pipeline hands to its merge point
+        self.ops[comp_op].extra.update(
+            merge_rows=merge_rows, merge_bytes=merge_rows * ROW_BYTES
         )
         chain: list[int] = []
         prev = comp_op
@@ -917,10 +887,15 @@ class _Compiler:
             if joins[i] is not None:
                 probe_q, build_q, is_objeq, cond = joins[i]
                 rows *= card * model.predicate_selectivity(cond, env)
+                attr = _index_attr(gen, build_q)
+                key = (
+                    f"on {pretty(build_q)}"
+                    if attr is None
+                    else f"via index {gen.source.name}.{attr}"
+                )
                 label = (
-                    f"hash join {gen.var} <- {pretty(gen.source)} on "
-                    f"{pretty(build_q)} {'==' if is_objeq else '='} "
-                    f"{pretty(probe_q)}"
+                    f"hash join {gen.var} <- {pretty(gen.source)} {key} "
+                    f"{'==' if is_objeq else '='} {pretty(probe_q)}"
                 )
                 gen_ops.append(add("hash-join", label, mult * rows, calls))
             else:
@@ -984,12 +959,7 @@ class _Compiler:
 
             def rank(cand):
                 idx, probe_q, build_q, cond = cand
-                indexed = (
-                    isinstance(gen.source, ExtentRef)
-                    and isinstance(build_q, Field)
-                    and isinstance(build_q.target, Var)
-                    and build_q.target.name == var
-                )
+                indexed = _index_attr(gen, build_q) is not None
                 sel = self.model.predicate_selectivity(cond, env)
                 return (0 if indexed else 1, sel, idx)
 
@@ -1086,6 +1056,27 @@ class _Compiler:
                     env[var] = old
 
         return stage
+
+    def _access(self, source: ExtentRef, spec, pruned: bool) -> dict:
+        """The explain tree's label for one generator's extent access.
+
+        ``k`` shards (1 unsharded), of which a pruned access touches
+        one, each scanning ``ceil(rows / k)`` estimated rows: the
+        partition is hash-balanced by construction.
+        """
+        rows = self.model.cardinality(source)
+        k = spec.k if spec is not None else 1
+        touched = 1 if pruned else k
+        return {
+            "extent": source.name,
+            "rows": rows,
+            "sharded": spec is not None,
+            "k": k,
+            "by": spec.by if spec is not None else None,
+            "shards": touched,
+            "pruned": pruned,
+            "rows_scanned": float(math.ceil(rows / k) * touched),
+        }
 
     def _pick_shard_probe(
         self,
@@ -1196,14 +1187,10 @@ class _Compiler:
         closed = not (free_vars(gen.source) | (free_vars(build_q) - {var}))
 
         # bare extent keyed by one attribute: use the persistent index
-        use_index = (
-            isinstance(gen.source, ExtentRef)
-            and isinstance(build_q, Field)
-            and isinstance(build_q.target, Var)
-            and build_q.target.name == var
-        )
+        attr = _index_attr(gen, build_q)
+        use_index = attr is not None
         if use_index:
-            extent, attr = gen.source.name, build_q.name
+            extent = gen.source.name
             self.notes.append(
                 f"hash join: {var} <- {extent} via index "
                 f"{extent}.{attr} {'==' if is_objeq else '='} {probe_q}"
@@ -1218,7 +1205,7 @@ class _Compiler:
                 )
             source_fn = build_fn = None
         else:
-            extent = attr = None
+            extent = None
             source_fn = self.compile(gen.source)
             build_fn = self.compile(build_q)
             self.notes.append(

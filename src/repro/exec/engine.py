@@ -1,4 +1,4 @@
-"""Engine selection and compiled-plan execution.
+"""Engine selection, planning, compiled-plan execution and explain.
 
 :func:`decide` is the compile/fallback gate behind
 ``Database.run(engine="auto")``: a query is routed to the compiled
@@ -8,6 +8,10 @@ every schedule, and hence the set-at-a-time operator order, yield the
 same observables) *and* the compiler covers its syntax.  Everything
 else falls back to the paper's reduction machine, with the reason
 recorded for ``.explain``.
+
+:func:`explain` builds the one explain tree: the plan :func:`decide`
+caches, compiled by the same pipeline in profile mode.  ``.explain``,
+``.explain cost`` and ``.explain analyze`` are three renderings of it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,6 @@ class PlanDecision:
     @property
     def plan(self) -> CompiledPlan | None:
         return self.entry.plan if self.entry is not None else None
-
-    def describe(self) -> str:
-        lines = [f"{self.engine} — {self.reason}"]
-        if self.plan is not None and self.plan.notes:
-            lines.extend(f"  {note}" for note in self.plan.notes)
-        return "\n".join(lines)
 
 
 def decide(db, q: Query) -> PlanDecision:
@@ -87,39 +85,51 @@ def _stats_stale(db, entry: PlanEntry) -> bool:
     return entry.stats_epoch != catalog.observe(db.ee)
 
 
-def _compile_entry(db, q: Query, eff: Effect) -> PlanEntry:
+def _plan(db, q: Query, *, profile: bool = False, overrides=None):
+    """Cost, optimize and compile ``q`` the way production does.
+
+    The one planning pipeline behind cached plans, adaptive replans and
+    the explain tree: a fresh catalog snapshot prices the reorder rule
+    and rides into the compiler for join selection and the replan
+    guards' baked-in estimates, and the database's shard layout decides
+    pruning.  ``overrides`` maps source sub-queries to observed
+    cardinalities; ``profile`` lays out the operator tree.
+
+    Returns ``(model, optimized, plan, reason)``: ``plan`` is None with
+    ``reason`` saying why when the compiler refuses the query.
+    """
     from repro.optimizer.cost import CostModel, cost_rules
     from repro.optimizer.planner import optimize
 
-    # cost-based pipeline: the reorder rule prices generator orders
-    # with the stats catalog, and the model rides into the compiler
-    # for join selection and the replan guards' baked-in estimates
     model = CostModel.from_database(db)
+    if overrides:
+        model.card_overrides.update(overrides)
+    optimized = optimize(db, q, cost_rules(model), model=model)
     try:
-        normalised = optimize(db, q, cost_rules(model), model=model).query
         plan = compile_plan(
             db.schema,
             db._definitions,
-            normalised,
+            optimized.query,
             method_mode=db.method_mode,
             method_fuel=db.machine.method_fuel,
+            profile=profile,
             cost_model=model,
             shards=getattr(db, "_shards", None),
         )
-        return PlanEntry(
-            plan=plan,
-            reads=eff.reads(),
-            static_effect=eff,
-            stats_epoch=model.stats_epoch,
-        )
     except NotCompilable as exc:
-        return PlanEntry(
-            plan=None,
-            reads=eff.reads(),
-            static_effect=eff,
-            reason=f"not compilable: {exc}",
-            stats_epoch=model.stats_epoch,
-        )
+        return model, optimized, None, f"not compilable: {exc}"
+    return model, optimized, plan, ""
+
+
+def _compile_entry(db, q: Query, eff: Effect) -> PlanEntry:
+    model, _, plan, reason = _plan(db, q)
+    return PlanEntry(
+        plan=plan,
+        reads=eff.reads(),
+        static_effect=eff,
+        reason=reason,
+        stats_epoch=model.stats_epoch,
+    )
 
 
 def route_read(db, q: Query, decision: PlanDecision, **run_kw):
@@ -171,22 +181,7 @@ def execute_plan(
     pinned = ee is not None or oe is not None
     ratio = getattr(db, "replan_ratio", None)
     for attempt in (0, 1):
-        ctx = ExecContext(
-            ee if ee is not None else db.ee,
-            oe if oe is not None else db.oe,
-            db.schema,
-            db._definitions,
-            method_mode=db.method_mode,
-            method_fuel=db.machine.method_fuel,
-            supply=db.supply,
-            budget=budget,
-            # attribute indexes are versioned against the *live* store; a
-            # pinned snapshot may be older, so it scans without them
-            indexes=None if pinned else db._indexes,
-            state_version=-1 if pinned else db._state_version,
-            shards=None if pinned else getattr(db, "_shards", None),
-            closure_indexes=None if pinned else db._closure_indexes,
-        )
+        ctx = _context(db, budget=budget, ee=ee, oe=oe)
         if attempt == 0 and not pinned and ratio:
             ctx.replan = ReplanGuard(ratio)
         # one charge per execution: every machine run takes at least one
@@ -215,6 +210,30 @@ def execute_plan(
     return value, ctx.effect(), ctx.ops
 
 
+def _context(db, *, budget=None, ee=None, oe=None) -> ExecContext:
+    """The context of one plan run against ``db``'s live state.
+
+    ``ee``/``oe`` pin a snapshot instead.  Attribute indexes, shard
+    partitions and closure indexes are versioned against the *live*
+    store; a pinned snapshot may be older, so it runs without them.
+    """
+    pinned = ee is not None or oe is not None
+    return ExecContext(
+        ee if ee is not None else db.ee,
+        oe if oe is not None else db.oe,
+        db.schema,
+        db._definitions,
+        method_mode=db.method_mode,
+        method_fuel=db.machine.method_fuel,
+        supply=db.supply,
+        budget=budget,
+        indexes=None if pinned else db._indexes,
+        state_version=-1 if pinned else db._state_version,
+        shards=None if pinned else getattr(db, "_shards", None),
+        closure_indexes=None if pinned else db._closure_indexes,
+    )
+
+
 def _replan_entry(db, entry: PlanEntry, sig) -> None:
     """Mid-query re-optimization after a caught :class:`ReplanSignal`.
 
@@ -227,21 +246,9 @@ def _replan_entry(db, entry: PlanEntry, sig) -> None:
     from repro.obs import flight as _flight
     from repro.obs._state import STATE as _OBS
     from repro.obs.metrics import REGISTRY as _METRICS
-    from repro.optimizer.cost import CostModel, cost_rules
-    from repro.optimizer.planner import optimize
 
-    model = CostModel.from_database(db)
-    model.card_overrides[sig.source] = float(sig.actual)
-    base = entry.plan.source
-    normalised = optimize(db, base, cost_rules(model), model=model).query
-    plan = compile_plan(
-        db.schema,
-        db._definitions,
-        normalised,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        cost_model=model,
-        shards=getattr(db, "_shards", None),
+    model, _, plan, _ = _plan(
+        db, entry.plan.source, overrides={sig.source: float(sig.actual)}
     )
     note = (
         f"replan: {pretty(sig.source)} estimated {sig.est:.0f} rows, "
@@ -267,64 +274,105 @@ def _replan_entry(db, entry: PlanEntry, sig) -> None:
     )
 
 
-def compile_profiled(db, q: Query):
-    """Compile ``q`` with per-operator instrumentation for
-    ``.explain analyze``.
+def explain(
+    db,
+    source: str | Query,
+    *,
+    analyze: bool = False,
+    budget=None,
+    max_steps: int | None = None,
+):
+    """The explain tree of one query: the production plan, in profile mode.
 
-    Always compiles fresh (never the plan cache): profiled plans carry
-    wrappers a production run must not pay for, and the cost model is
-    snapshotted from the *current* catalog so estimates are the ones a
-    replanner would see now.  Returns ``(plan, normalised, model)``.
-    Raises :class:`NotCompilable` for queries outside the compiled
-    fragment — the caller falls back to instrumented reduction.
+    Decides the engine exactly as ``run(engine="auto")`` does, then
+    plans the query through :func:`_plan` (the pipeline that built the
+    cached plan) with ``profile=True``, so the header (estimated cost,
+    rewrites, decision, plan notes) and every operator's estimate and
+    shard access describe the plan ``run`` executes.  A query the
+    compiled engine refuses has a header and no operator tree.
+
+    With ``analyze`` the query also runs once, never committing: a
+    compiled plan with per-operator counters in a production context
+    (indexes, shard layout), anything else on the reduction machine
+    with its rule histogram in ``summary["rules"]``.  Returns a
+    :class:`~repro.obs.profile.QueryProfile`.
     """
-    from repro.optimizer.cost import CostModel, cost_rules
-    from repro.optimizer.planner import optimize
+    from time import perf_counter
 
-    model = CostModel.from_database(db)
-    normalised = optimize(db, q, cost_rules(model), model=model).query
-    plan = compile_plan(
-        db.schema,
-        db._definitions,
-        normalised,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        profile=True,
-        cost_model=model,
+    from repro.lang.pprint import pretty
+    from repro.obs.profile import ProfileRun, QueryProfile, build_nodes
+
+    q = db.parse(source)
+    decision = decide(db, q)
+    model, optimized, plan, _ = _plan(db, q, profile=True)
+    if decision.engine != "compiled":
+        plan = None
+    prof = QueryProfile(
+        query=source if isinstance(source, str) else pretty(q),
+        engine=decision.engine,
+        est_cost=model.eval_cost(optimized.query),
+        nodes=build_nodes(plan.ops) if plan is not None else [],
+        decision=decision.reason,
+        plan_query=pretty(optimized.query),
+        rewrites=tuple(optimized.rules_fired()),
+        notes=plan.notes if plan is not None else (),
     )
-    return plan, normalised, model
-
-
-def execute_profiled(db, plan: CompiledPlan, *, budget=None):
-    """Run a profiled plan; returns ``(value, ctx, run, elapsed_s)``.
-
-    The run's root operator (id 0) is credited with one call and the
-    whole wall-time, so ``build_nodes`` can report the plan total.
-    """
-    import time
-
-    from repro.obs.profile import ProfileRun
-
-    ctx = ExecContext(
-        db.ee,
-        db.oe,
-        db.schema,
-        db._definitions,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        supply=db.supply,
-        budget=budget,
-        indexes=db._indexes,
-        state_version=db._state_version,
-        closure_indexes=db._closure_indexes,
-    )
+    if not analyze:
+        return prof
+    if plan is None:
+        _analyze_reduction(db, q, prof, budget=budget, max_steps=max_steps)
+        return prof
+    t0 = perf_counter()
+    ctx = _context(db, budget=budget)
     run = ProfileRun(len(plan.ops))
     ctx.prof = run
     ctx.charge()
-    t0 = time.perf_counter()
     value = plan.fn(ctx, {})
-    elapsed = time.perf_counter() - t0
-    if plan.ops:
-        run.rows[0] = 1
-        run.times[0] = elapsed
-    return value, ctx, run, elapsed
+    elapsed = perf_counter() - t0
+    # the root operator is credited with one call and the whole run,
+    # so the tree reports the plan total
+    run.rows[0] = 1
+    run.times[0] = elapsed
+    items = getattr(value, "items", None)
+    rows = len(items) if items is not None else 1
+    prof.nodes = build_nodes(plan.ops, run, result_rows=rows)
+    prof.elapsed_s = elapsed
+    prof.fuel = prof.actual_steps = ctx.ops
+    prof.effect = str(ctx.effect())
+    prof.summary = {
+        "rows": rows,
+        "scans": run.scans,
+        "index_lookups": run.index_lookups,
+    }
+    prof.value = value
+    return prof
+
+
+def _analyze_reduction(db, q: Query, prof, *, budget, max_steps) -> None:
+    """Run ``q`` once on the machine for ``prof``, never committing."""
+    from time import perf_counter
+
+    from repro.obs import events as _events
+    from repro.semantics.evaluator import DEFAULT_MAX_STEPS, evaluate
+    from repro.semantics.strategy import FIRST
+
+    with _events.capture() as captured:
+        t0 = perf_counter()
+        result = evaluate(
+            db.machine, db.ee, db.oe, q,
+            strategy=FIRST,
+            max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps,
+            budget=budget,
+        )
+        elapsed = perf_counter() - t0
+    rules: dict[str, int] = {}
+    for ev in captured:
+        rules[ev.rule] = rules.get(ev.rule, 0) + 1
+    prof.elapsed_s = elapsed
+    prof.fuel = prof.actual_steps = result.steps
+    prof.effect = str(result.effect)
+    prof.summary = {
+        "rows": len(getattr(result.value, "items", ()) or ()) or 1,
+        "rules": rules,
+    }
+    prof.value = result.value

@@ -405,7 +405,8 @@ class ExecContext:
     def traverse_chase(
         self, start: list[str], attr: str, depth: int | None
     ) -> frozenset[str]:
-        """GREEN/YELLOW traverse: the shared semi-naive frontier chase.
+        """YELLOW traverse (every bounded depth) and RED's fallback: the
+        shared semi-naive frontier chase.
 
         Charges one budget unit per visited node (matching the big-step
         evaluator's fuel discipline, so exhaustion mid-fixpoint raises

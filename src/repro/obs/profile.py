@@ -1,22 +1,27 @@
-"""Per-operator query profiles: the data model behind ``.explain analyze``.
+"""The explain tree: one data model behind all three explain surfaces.
 
-A profiled execution of a compiled plan produces three layers:
+A profile-mode compile of the production plan produces three layers:
 
 * :class:`OpDescr` — the *static* side, one record per plan operator
   (scan, filter, hash join, emit, nested comprehension), created by the
   compiler in profile mode.  Each carries the cost model's **estimated**
-  output cardinality, so the profile can hold estimate and actual side
-  by side — the data feed a cost-based replanner needs.
+  output cardinality, extent accesses their shard access and
+  comprehensions their merge rows and bytes, so the profile can hold
+  estimate and actual side by side — the data feed a cost-based
+  replanner needs.
 * :class:`ProfileRun` — the *dynamic* side, two flat arrays (call
   counts and inclusive wall-times) indexed by operator id, written by
   the per-operator wrappers the compiler installs.  Kept deliberately
   dumb: the hot path does one list-index increment and two clock reads
   per operator invocation.
-* :class:`QueryProfile` — the joined result: a tree of
-  :class:`ProfileNode` rows (estimated rows, actual rows, misestimate
-  ratio, calls, inclusive/self time), a summary dict, and JSON-safe
-  :meth:`~QueryProfile.profile_dict` / human :meth:`~QueryProfile.render`
-  presentations.
+* :class:`QueryProfile` — the joined result: the plan header
+  (estimated cost, rewrites, engine decision, plan notes), a tree of
+  :class:`ProfileNode` rows (estimated rows and, once analysed, actual
+  rows, misestimate ratio, calls, inclusive/self time), a summary dict,
+  and JSON-safe :meth:`~QueryProfile.profile_dict` / human
+  :meth:`~QueryProfile.render` presentations.  ``.explain`` prints its
+  header, ``.explain cost`` the tree unexecuted, ``.explain analyze``
+  the tree after one instrumented run.
 
 This module is a **leaf**: stdlib imports only, so the compiler, the
 engine and the database can all import it without cycles.
@@ -68,18 +73,23 @@ class ProfileRun:
 
 @dataclass
 class ProfileNode:
-    """One rendered row of the profile tree (estimate vs actual)."""
+    """One rendered row of the profile tree (estimate vs actual).
+
+    The actual-side fields are None until the plan has run; ``detail``
+    carries the operator's static labels (shard access, merge cost).
+    """
 
     op_id: int
     parent: int | None
     kind: str
     label: str
     est_rows: float
-    rows_in: int
-    rows_out: int
-    time_s: float
-    self_time_s: float
+    rows_in: int | None
+    rows_out: int | None
+    time_s: float | None
+    self_time_s: float | None
     misestimate: float | None  # actual/estimated; None when no estimate basis
+    detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -90,9 +100,12 @@ class ProfileNode:
             "est_rows": self.est_rows,
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
-            "time_ms": self.time_s * 1e3,
-            "self_time_ms": self.self_time_s * 1e3,
+            "time_ms": None if self.time_s is None else self.time_s * 1e3,
+            "self_time_ms": (
+                None if self.self_time_s is None else self.self_time_s * 1e3
+            ),
             "misestimate": self.misestimate,
+            "detail": self.detail,
         }
 
 
@@ -134,9 +147,21 @@ def misestimate_percentile(
 
 
 def build_nodes(
-    ops, run: ProfileRun, *, result_rows: int | None = None
+    ops, run: ProfileRun | None = None, *, result_rows: int | None = None
 ) -> list[ProfileNode]:
-    """Join static operator descriptions with one run's counters."""
+    """Join static operator descriptions with one run's counters.
+
+    Without a ``run`` the nodes carry estimates only (the unexecuted
+    tree of ``.explain cost``).
+    """
+    if run is None:
+        return [
+            ProfileNode(
+                op.op_id, op.parent, op.kind, op.label, op.est_rows,
+                None, None, None, None, None, dict(op.extra),
+            )
+            for op in ops
+        ]
     child_time: dict[int, float] = {}
     for op in ops:
         if op.parent is not None:
@@ -162,35 +187,77 @@ def build_nodes(
                 time_s=t,
                 self_time_s=max(0.0, t - child_time.get(op.op_id, 0.0)),
                 misestimate=_ratio(rows_out, op.est_rows),
+                detail=dict(op.extra),
             )
         )
     return nodes
 
 
+def _detail_text(detail: dict) -> str:
+    """The shard-access or merge label of one operator, for ``render``."""
+    acc = detail.get("access")
+    if acc is not None:
+        where = (
+            f"{acc['shards']}/{acc['k']} shard(s)"
+            + (" [pruned]" if acc["pruned"] else "")
+            if acc["sharded"]
+            else "unsharded"
+        )
+        return (
+            f"{where}, ~{acc['rows_scanned']:.0f} of {acc['rows']:.0f} "
+            "rows scanned"
+        )
+    if "merge_rows" in detail:
+        return (
+            f"merge ~{detail['merge_rows']:.1f} rows "
+            f"(~{detail['merge_bytes']:.0f} B)"
+        )
+    return ""
+
+
 @dataclass
 class QueryProfile:
-    """Everything ``.explain analyze`` learned about one execution."""
+    """One query's explain tree, unexecuted or after one analysed run.
+
+    The header fields come from the planning call that built the tree:
+    the engine decision and its reason, the estimated cost of the
+    optimizer-normalised query (``plan_query``), the rewrite rules that
+    produced it and the compiled plan's notes.  ``elapsed_s`` stays
+    None until the plan runs; an analysed run fills it together with
+    ``fuel``, the dynamic ``effect``, ``actual_steps``, ``summary`` and
+    the value.
+    """
 
     query: str
     engine: str  # "compiled" | "reduction"
-    elapsed_s: float
-    fuel: int  # budget fuel consumed (compiled ops / machine steps)
-    effect: str
     est_cost: float
-    actual_steps: int
+    elapsed_s: float | None = None
+    fuel: int = 0  # budget fuel consumed (compiled ops / machine steps)
+    effect: str = ""
+    actual_steps: int = 0
     nodes: list[ProfileNode] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     value: object = field(default=None, repr=False)
+    decision: str = ""
+    plan_query: str = ""
+    rewrites: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def profile_dict(self) -> dict:
         """The machine-readable profile (JSON round-trip safe)."""
         return {
             "query": self.query,
             "engine": self.engine,
-            "elapsed_ms": self.elapsed_s * 1e3,
+            "decision": self.decision,
+            "est_cost": self.est_cost,
+            "plan_query": self.plan_query,
+            "rewrites": list(self.rewrites),
+            "notes": list(self.notes),
+            "elapsed_ms": (
+                None if self.elapsed_s is None else self.elapsed_s * 1e3
+            ),
             "fuel": self.fuel,
             "effect": self.effect,
-            "est_cost": self.est_cost,
             "actual_steps": self.actual_steps,
             "nodes": [n.as_dict() for n in self.nodes],
             "summary": self.summary,
@@ -198,24 +265,35 @@ class QueryProfile:
 
     # -- human rendering -------------------------------------------------
     def render(self) -> str:
-        lines = [
-            f"profile : {self.engine} engine — "
-            f"{self.elapsed_s * 1e3:.3f} ms, fuel {self.fuel}, "
-            f"effect {self.effect or '∅'}",
-            f"query   : {_short(self.query, 100)}",
-            f"cost    : estimated {self.est_cost:.0f} steps, "
-            f"actual {self.actual_steps}",
-        ]
+        analysed = self.elapsed_s is not None
+        if analysed:
+            lines = [
+                f"profile : {self.engine} engine — "
+                f"{self.elapsed_s * 1e3:.3f} ms, fuel {self.fuel}, "
+                f"effect {self.effect or '∅'}",
+                f"query   : {_short(self.query, 100)}",
+                f"cost    : estimated {self.est_cost:.0f} steps, "
+                f"actual {self.actual_steps}",
+            ]
+        else:
+            lines = [
+                f"cost report : {self.engine} engine",
+                f"query   : {_short(self.query, 100)}",
+                f"cost    : estimated {self.est_cost:.0f} steps",
+            ]
+        if self.decision:
+            lines.append(f"decision: {self.decision}")
         for key, val in sorted(self.summary.items()):
-            if key in ("rules", "plan_notes"):
-                continue
-            lines.append(f"{key:<8}: {val}")
+            if key != "rules":
+                lines.append(f"{key:<8}: {val}")
         if self.nodes:
-            lines.append(
-                f"{'operator':<{_LABEL_WIDTH}} "
-                f"{'est rows':>10} {'actual':>8} {'ratio':>7} "
-                f"{'calls':>7} {'ms':>9} {'self ms':>9}"
-            )
+            head = f"{'operator':<{_LABEL_WIDTH}} {'est rows':>10}"
+            if analysed:
+                head += (
+                    f" {'actual':>8} {'ratio':>7} "
+                    f"{'calls':>7} {'ms':>9} {'self ms':>9}"
+                )
+            lines.append(head)
             depth = {
                 n.op_id: (0 if n.parent is None else -1) for n in self.nodes
             }
@@ -229,23 +307,24 @@ class QueryProfile:
             for n in self.nodes:
                 d = _depth(n.op_id)
                 label = _short("  " * d + n.label, _LABEL_WIDTH)
-                ratio = (
-                    "   inf" if n.misestimate is None
-                    else f"{n.misestimate:5.2f}x"
-                )
-                lines.append(
-                    f"{label:<{_LABEL_WIDTH}} "
-                    f"{n.est_rows:>10.1f} {n.rows_out:>8} {ratio:>7} "
-                    f"{n.rows_in:>7} {n.time_s * 1e3:>9.3f} "
-                    f"{n.self_time_s * 1e3:>9.3f}"
-                )
+                row = f"{label:<{_LABEL_WIDTH}} {n.est_rows:>10.1f}"
+                if analysed:
+                    ratio = (
+                        "   inf" if n.misestimate is None
+                        else f"{n.misestimate:5.2f}x"
+                    )
+                    row += (
+                        f" {n.rows_out:>8} {ratio:>7} "
+                        f"{n.rows_in:>7} {n.time_s * 1e3:>9.3f} "
+                        f"{n.self_time_s * 1e3:>9.3f}"
+                    )
+                detail = _detail_text(n.detail)
+                lines.append(f"{row}  {detail}" if detail else row)
         rules = self.summary.get("rules")
         if rules:
             lines.append("rules fired:")
             for rule, n in sorted(rules.items(), key=lambda kv: (-kv[1], kv[0])):
                 lines.append(f"  {rule:<20}{n:>7}")
-        notes = self.summary.get("plan_notes")
-        if notes:
-            for note in notes:
-                lines.append(f"note    : {note}")
+        for note in self.notes:
+            lines.append(f"note    : {note}")
         return "\n".join(lines)

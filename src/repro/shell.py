@@ -20,16 +20,18 @@ Commands::
     .trace [--json] <q>   print the step-by-step derivation (Figure 2/4);
                           --json emits one JSON object per step
     .optimize <query>     effect-gated rewriting with provenance
-    .explain <query>      cost estimate, statistics and chosen rewrites
-    .explain analyze <q>  run the query instrumented and print the
-                          per-operator tree: estimated vs actual rows,
-                          misestimate ratio, per-operator time (never
-                          commits; falls back to a reduction-rule
-                          histogram outside the compiled fragment)
-    .explain cost <q>     TD2-style sharded cost report: per-extent
-                          shard access counts, estimated selectivities
-                          and rows/bytes moved at merge points (never
-                          executes the query)
+    .explain <query>      the plan's header: estimated cost, rewrites,
+                          effect, ⊢′, engine decision and plan notes
+    .explain cost <q>     the plan's operator tree, unexecuted: estimated
+                          rows per operator, shard access and rows
+                          scanned per extent, rows/bytes at each merge
+                          point (no tree when the compiled engine
+                          refuses the query)
+    .explain analyze <q>  the same tree after one instrumented run:
+                          estimated vs actual rows, misestimate ratio,
+                          per-operator time (never commits; falls back
+                          to a reduction-rule histogram outside the
+                          compiled fragment)
     .analyze              eagerly build optimizer statistics for every
                           (extent, attribute) column and print rows,
                           distinct counts and histogram buckets
@@ -278,32 +280,20 @@ class Shell:
                 if not src:
                     return "error: .explain cost needs a query"
                 return self.db.explain_cost(src).render()
-            from repro.optimizer.cost import CostModel, optimize_with_costs
-
             q = self.db.parse(rest)
-            self.db.typecheck(q)
-            model = CostModel.from_database(self.db)
-            res = optimize_with_costs(self.db, q)
-            lines = [
-                f"estimated cost : {model.eval_cost(q):.0f} steps",
-            ]
-            if res.changed:
-                lines.append(f"rewritten to   : {res.query}")
-                lines.append(f"rules fired    : {', '.join(res.rules_fired())}")
-                lines.append(
-                    f"estimated cost : {model.eval_cost(res.query):.0f} steps "
-                    f"(after rewriting)"
-                )
+            prof = self.db.explain_cost(q)
+            lines = [f"estimated cost : {prof.est_cost:.0f} steps"]
+            if prof.rewrites:
+                lines.append(f"rewritten to   : {prof.plan_query}")
+                lines.append(f"rules fired    : {', '.join(prof.rewrites)}")
             else:
                 lines.append("no rewrites apply")
             lines.append(f"effect         : {self.db.effect_of(q)}")
             det = "yes" if self.db.is_deterministic(q) else "NO (⊢′ rejects)"
             lines.append(f"deterministic  : {det}")
-            dec = self.db.plan_decision(q)
-            lines.append(f"engine         : {dec.engine} — {dec.reason}")
-            if dec.plan is not None:
-                for note in dec.plan.notes:
-                    lines.append(f"plan note      : {note}")
+            lines.append(f"engine         : {prof.engine} — {prof.decision}")
+            for note in prof.notes:
+                lines.append(f"plan note      : {note}")
             return "\n".join(lines)
         if cmd == ".analyze":
             summary = self.db.analyze()

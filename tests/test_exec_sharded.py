@@ -3,9 +3,9 @@
 Certifies the compiled engine's sharded paths against the unsharded
 engine (scan pruning, pruned index probes, forced pool fan-out), the
 per-``(class, shard)`` refinement of plan/result-cache invalidation,
-the scheduler's ``shard_conflicts`` rule, the TD2-style cost report,
-and the operator surfaces (``health()["sharding"]``, ``shard_*``
-gauges, ``.shard``/``.shards``/``.explain cost``).
+the scheduler's ``shard_conflicts`` rule, the explain tree's shard
+access labels, and the operator surfaces (``health()["sharding"]``,
+``shard_*`` gauges, ``.shard``/``.shards``/``.explain cost``).
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.db.database import Database
 from repro.db.shards import shard_of
 from repro.effects.algebra import EMPTY, Effect, add, read, update
 from repro.exec import parallel
+from repro.exec.compiler import ROW_BYTES
 from repro.lang.ast import StrLit
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.sched.scheduler import Admission, shard_conflicts
@@ -269,43 +270,84 @@ class TestShardConflicts:
         assert res.conflict_edges == 4 * 3 // 2
 
 
+def access_of(prof) -> list[dict]:
+    """The shard-access labels of an explain tree's extent nodes."""
+    return [n.detail["access"] for n in prof.nodes if "access" in n.detail]
+
+
+PRUNED = '{ p.name | p <- Persons, p.region = "r1" }'
+
+
+def sharded_by_region(n: int = 64) -> Database:
+    """``n`` Persons over eight regions, sharded k=8 by region."""
+    db = Database.from_odl(ODL)
+    db.shard("Person", k=8, by="region")
+    for i in range(n):
+        db.insert("Person", name=f"p{i}", region=f"r{i % REGIONS}", age=i)
+    return db
+
+
 class TestCostReport:
     def test_pruned_access_reported(self):
         sharded, _ = make_pair()
-        report = sharded.explain_cost(
-            '{ p.name | p <- Persons, p.region = "r1" }'
-        )
-        (access,) = report.accesses
-        assert access.sharded and access.pruned
-        assert access.shards_accessed == 1
-        assert access.rows_scanned < access.rows
-        assert report.merges[0].pipelines == 1
+        (access,) = access_of(sharded.explain_cost(PRUNED))
+        assert access["sharded"] and access["pruned"]
+        assert access["shards"] == 1
+        assert access["rows_scanned"] < access["rows"]
 
     def test_unconfined_access_prices_all_shards(self):
         sharded, _ = make_pair()
-        report = sharded.explain_cost("{ p.name | p <- Persons, p.age > 3 }")
-        (access,) = report.accesses
-        assert access.shards_accessed == K and not access.pruned
-        assert report.merges[0].pipelines == K
-        assert report.predicates  # the filter's selectivity is listed
+        prof = sharded.explain_cost("{ p.name | p <- Persons, p.age > 3 }")
+        (access,) = access_of(prof)
+        assert access["shards"] == K and not access["pruned"]
+        assert access["rows_scanned"] == access["rows"]
+        (scan,) = [n for n in prof.nodes if n.kind == "scan"]
+        (filt,) = [n for n in prof.nodes if n.kind == "filter"]
+        assert filt.est_rows < scan.est_rows  # the filter's selectivity
+        (comp,) = [n for n in prof.nodes if n.kind == "comp"]
+        merge = comp.detail
+        assert merge["merge_bytes"] == merge["merge_rows"] * ROW_BYTES
 
     def test_report_is_json_safe(self):
         import json
 
         sharded, _ = make_pair()
-        report = sharded.explain_cost(
+        prof = sharded.explain_cost(
             '{ p.name | p <- Persons, p.region = "r1", p.age > 2 }'
         )
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert doc["accesses"][0]["sharded"] is True
-        assert doc["total_rows_scanned"] == report.total_rows_scanned
+        doc = json.loads(json.dumps(prof.profile_dict()))
+        assert doc == prof.profile_dict()
+        (access,) = [
+            n["detail"]["access"] for n in doc["nodes"]
+            if "access" in n["detail"]
+        ]
+        assert access["sharded"] is True
 
     def test_unsharded_database_reports_plain_scan(self):
         _, plain = make_pair()
-        report = plain.explain_cost('{ p.name | p <- Persons }')
-        (access,) = report.accesses
-        assert not access.sharded
-        assert access.rows_scanned == access.rows
+        (access,) = access_of(plain.explain_cost("{ p.name | p <- Persons }"))
+        assert not access["sharded"]
+        assert access["rows_scanned"] == access["rows"]
+
+
+class TestExplainTree:
+    """The explain tree is the production plan's, shard layout included."""
+
+    def test_analyze_carries_the_production_plans_notes(self):
+        db = sharded_by_region()
+        prof = db.explain_analyze(PRUNED)
+        assert any(n.startswith("shard-prune") for n in prof.notes)
+        assert prof.notes == db.plan_decision(PRUNED).plan.notes
+
+    def test_cost_shows_the_index_probe_not_a_filter(self):
+        db = sharded_by_region()
+        prof = db.explain_cost(PRUNED)
+        assert not [n for n in prof.nodes if n.kind == "filter"]
+        (join,) = [n for n in prof.nodes if n.kind == "hash-join"]
+        assert "via index Persons.region" in join.label
+        # 64 rows at the measured 1/8 frequency of "r1", not 0.10
+        assert join.est_rows == pytest.approx(8.0)
+        assert join.detail["access"]["shards"] == 1
 
 
 class TestHealthSurface:
@@ -371,3 +413,29 @@ class TestShellSurface:
             ".explain cost { p.name | p <- Persons, p.age > 21 }"
         )
         assert "cost report" in out and "unsharded" in out
+
+    def test_explain_cost_of_a_write_prints_no_tree(self, shell):
+        shell.handle(".shard Person k=8 by=region")
+        out = shell.handle(
+            '.explain cost { new Person(name: p.name, region: "x", age: 1)'
+            " | p <- Persons }"
+        )
+        assert "reduction engine" in out and "Theorem 4" in out
+        assert "operator" not in out and "shard(s)" not in out
+
+    def test_three_surfaces_print_the_plans_notes(self):
+        db = sharded_by_region()
+        sh = Shell(db)
+        notes = list(db.plan_decision(PRUNED).plan.notes)
+
+        def printed(cmd: str, prefix: str) -> list[str]:
+            return [
+                line.split(": ", 1)[1]
+                for line in sh.handle(f"{cmd} {PRUNED}").splitlines()
+                if line.startswith(prefix)
+            ]
+
+        assert any(n.startswith("shard-prune") for n in notes)
+        assert printed(".explain", "plan note") == notes
+        assert printed(".explain cost", "note") == notes
+        assert printed(".explain analyze", "note") == notes

@@ -41,7 +41,7 @@ from repro.errors import (
     StuckError,
     TransientFault,
 )
-from repro.exec.compiler import GREEN_TRAVERSE_DEPTH, compile_plan
+from repro.exec.compiler import compile_plan
 from repro.lang.ast import IntLit, OidRef, SetLit, Traverse, Var
 from repro.lang.parser import parse_query
 from repro.lang.pprint import pretty
@@ -287,17 +287,15 @@ class TestRouting:
         assert len(notes) == 1
         return notes[0]
 
-    def test_green_route_for_small_depth(self, db):
-        note = self.route_note(
-            db, f"traverse(x in refs over next depth <= {GREEN_TRAVERSE_DEPTH})"
-        )
-        assert "green" in note
+    def test_small_bounded_depth_routes_yellow(self, db):
+        for depth in (0, 1, 8):
+            note = self.route_note(
+                db, f"traverse(x in refs over next depth <= {depth})"
+            )
+            assert "yellow" in note, depth
 
     def test_yellow_route_for_deep_bound(self, db):
-        note = self.route_note(
-            db,
-            f"traverse(x in refs over next depth <= {GREEN_TRAVERSE_DEPTH + 1})",
-        )
+        note = self.route_note(db, "traverse(x in refs over next depth <= 9)")
         assert "yellow" in note
 
     def test_red_route_for_unbounded(self, db):
