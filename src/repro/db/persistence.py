@@ -8,11 +8,16 @@ JSON document containing:
 * the ODL source of the schema (the schema is re-parsed and
   re-validated on load — well-formedness is checked again, not
   trusted);
-* every object of OE as ``{"class": C, "attrs": {...}}`` with values in
-  a tagged JSON encoding (oids, sets, bags, lists and records nest);
-* every extent of EE as its member list;
-* the query definitions as their concrete syntax (re-parsed and
-  re-type-checked on load).
+* the **state stanza**: every object of OE as
+  ``{"class": C, "attrs": {...}}`` with values in a tagged JSON
+  encoding (oids, sets, bags, lists and records nest), every extent of
+  EE as its member list, and the query definitions as their concrete
+  syntax (re-parsed and re-type-checked on load).
+
+Checkpoints and the write-ahead log's ``full`` and ``delta`` records
+(:mod:`repro.db.recovery`) all write the state stanza with
+:func:`encode_state` / :func:`encode_objects` and read it back with
+:func:`decode_state`.
 
 Because values are re-validated through the same constructors the
 machine uses, a corrupted file fails loudly at load time rather than
@@ -27,7 +32,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import EvalError, ReproError
 from repro.resilience.faults import maybe_fault
@@ -42,10 +47,11 @@ from repro.lang.ast import (
     SetLit,
     StrLit,
 )
+from repro.lang.pprint import pretty_definition
 from repro.lang.values import make_bag_value, make_set_value
 from repro.methods.ast import AccessMode, NativeMethod
 from repro.db.database import Database
-from repro.db.store import ObjectRecord
+from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
 
 FORMAT_VERSION = 1
 
@@ -146,6 +152,130 @@ def value_from_json(doc: Any) -> Query:
 
 
 # ---------------------------------------------------------------------------
+# the state stanza: EE, OE and DE <-> JSON
+# ---------------------------------------------------------------------------
+
+
+def encode_objects(oe: ObjectEnv, oids: Iterable[str]) -> dict:
+    """The ``objects`` stanza of ``oids``: each object's class and values."""
+    out = {}
+    for oid in oids:
+        rec = oe.get(oid)
+        out[oid] = {
+            "class": rec.cname,
+            "attrs": {a: value_to_json(v) for a, v in rec.attrs},
+        }
+    return out
+
+
+def encode_state(ee: ExtentEnv, oe: ObjectEnv, definitions: Iterable) -> dict:
+    """The whole state as the stanza a checkpoint or ``full`` record holds."""
+    return {
+        "objects": encode_objects(oe, sorted(oe.oids())),
+        "extents": {e: sorted(ee.members(e)) for e in sorted(ee.names())},
+        "definitions": [pretty_definition(d) for d in definitions],
+    }
+
+
+def decode_state(db: Database, doc: dict, *, replace: bool) -> None:
+    """Install a state stanza, or a delta record's part of one, into ``db``.
+
+    ``replace=True`` (a checkpoint, a ``full`` record) rebuilds EE, OE
+    and DE from ``doc`` alone.  Otherwise the logged objects join the
+    live OE; a delta's ``adds`` are unioned into the live extents, and a
+    legacy delta's wholesale ``extents`` reset the extents they name.
+    Each environment is built once, so decoding is linear in the stanza
+    plus the live state.  An unknown class or extent, an attribute set
+    that is not the class's, an extent member that is not an object of
+    the extent's class, or a stanza of the wrong JSON shape raises
+    :class:`PersistenceError`.
+    """
+    schema = db.schema
+    declared_of = {c: [a for a, _ in schema.atypes(c)] for c in schema.classes}
+    fresh: dict[str, ObjectRecord] = {}
+    for oid, entry in _stanza(doc, "objects", dict).items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("class"), str)
+            and isinstance(entry.get("attrs", {}), dict)
+        ):
+            raise PersistenceError(f"object {oid}: malformed entry {entry!r}")
+        cname, given = entry["class"], entry.get("attrs", {})
+        declared = declared_of.get(cname)
+        if declared is None:
+            raise PersistenceError(f"object {oid}: unknown class {cname!r}")
+        if sorted(given) != sorted(declared):
+            raise PersistenceError(
+                f"object {oid}: attribute set {sorted(given)} does not "
+                f"match class {cname} ({sorted(declared)})"
+            )
+        try:
+            attrs = tuple((a, value_from_json(given[a])) for a in declared)
+            fresh[oid] = ObjectRecord(cname, attrs)
+        except (PersistenceError, EvalError) as exc:
+            raise PersistenceError(f"object {oid}: {exc}") from exc
+    oe = ObjectEnv(fresh) if replace else db.oe.with_objects(fresh)
+    base = ExtentEnv.for_schema(schema) if replace else db.ee
+    extents = dict(base.items())
+    additive = "adds" in doc
+    logged = _stanza(doc, "adds" if additive else "extents", dict)
+    for extent, members in logged.items():
+        if extent not in extents:
+            raise PersistenceError(f"unknown extent {extent!r}")
+        if not isinstance(members, list):
+            raise PersistenceError(
+                f"extent {extent!r}: members {members!r} are not a list"
+            )
+        want, current = extents[extent]
+        for oid in members:
+            if not isinstance(oid, str) or oid not in oe:
+                raise PersistenceError(
+                    f"extent {extent!r} references missing object {oid}"
+                )
+            if oe.class_of(oid) != want:
+                raise PersistenceError(
+                    f"extent {extent!r} holds {oid} of class "
+                    f"{oe.class_of(oid)!r}, expected {want!r}"
+                )
+        extents[extent] = (
+            want,
+            current.union(members) if additive else frozenset(members),
+        )
+    # OE before EE: same installation order as a Database commit
+    db.oe = oe
+    db.ee = ExtentEnv(extents)
+    if replace:
+        _restore_definitions(db, _stanza(doc, "definitions", list))
+
+
+def _stanza(doc: dict, key: str, kind: type):
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise PersistenceError(f"{key!r} is not a {kind.__name__}")
+    return value
+
+
+def _restore_definitions(db: Database, sources: list[str]) -> None:
+    """Reset the definition environment to exactly ``sources``.
+
+    A ``full`` record restores the whole DE because the unattributed
+    state changes that write one (transaction rollback, restore) may
+    have *removed* definitions, which replaying additions cannot
+    express.
+    """
+    if sources == [pretty_definition(d) for d in db.definitions.values()]:
+        return
+    if db._definitions:
+        # compiled plans that resolve a removed definition must retire
+        db._defs_version += 1
+        db._definitions.clear()
+        db._def_types.clear()
+        db.machine.defs = db._definitions
+    for source in sources:
+        db.define(source)
+
+
+# ---------------------------------------------------------------------------
 # database <-> JSON document
 # ---------------------------------------------------------------------------
 
@@ -167,27 +297,11 @@ def dump_database(db: Database, odl_source: str) -> dict:
         raise PersistenceError(
             "cannot serialise native Python methods: " + ", ".join(natives)
         )
-    objects = {
-        oid: {
-            "class": rec.cname,
-            "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-        }
-        for oid, rec in db.oe.items()
-    }
-    extents = {
-        e: sorted(db.ee.members(e)) for e in sorted(db.ee.names())
-    }
-    from repro.lang.pprint import pretty_definition
-
     doc = {
         "format": FORMAT_VERSION,
         "odl": odl_source,
         "method_mode": db.method_mode.value,
-        "objects": objects,
-        "extents": extents,
-        "definitions": [
-            pretty_definition(d) for d in db.definitions.values()
-        ],
+        **encode_state(db.ee, db.oe, db.definitions.values()),
     }
     shards = getattr(db, "_shards", None)
     if shards is not None and shards.enabled:
@@ -206,10 +320,9 @@ def dump_database(db: Database, odl_source: str) -> dict:
 def load_database(doc: dict) -> Database:
     """Rebuild a database from a document produced by :func:`dump_database`.
 
-    Everything is re-validated: the schema re-parses, every object's
-    attributes must be values of the right attribute set, extents must
-    reference live objects of the right class, and definitions re-type-
-    check.
+    Everything is re-validated: the schema re-parses,
+    :func:`decode_state` checks the state stanza and re-type-checks the
+    definitions, and the sharding stanza must apply to the schema.
     """
     if doc.get("format") != FORMAT_VERSION:
         raise PersistenceError(
@@ -217,44 +330,7 @@ def load_database(doc: dict) -> Database:
         )
     mode = AccessMode(doc.get("method_mode", AccessMode.READ_ONLY.value))
     db = Database.from_odl(doc["odl"], method_mode=mode)
-    # objects first — oids must exist before extents reference them
-    oe = db.oe
-    for oid, entry in sorted(doc.get("objects", {}).items()):
-        cname = entry["class"]
-        if cname not in db.schema:
-            raise PersistenceError(f"object {oid}: unknown class {cname!r}")
-        declared = [a for a, _ in db.schema.atypes(cname)]
-        given = entry.get("attrs", {})
-        if sorted(given) != sorted(declared):
-            raise PersistenceError(
-                f"object {oid}: attribute set {sorted(given)} does not "
-                f"match class {cname} ({sorted(declared)})"
-            )
-        attrs = tuple((a, value_from_json(given[a])) for a in declared)
-        try:
-            oe = oe.with_object(oid, ObjectRecord(cname, attrs))
-        except EvalError as exc:
-            raise PersistenceError(f"object {oid}: {exc}") from exc
-    db.oe = oe
-    ee = db.ee
-    for extent, members in sorted(doc.get("extents", {}).items()):
-        if extent not in ee:
-            raise PersistenceError(f"unknown extent {extent!r} in dump")
-        want_class = db.schema.extent_class(extent)
-        for oid in members:
-            if oid not in db.oe:
-                raise PersistenceError(
-                    f"extent {extent!r} references missing object {oid}"
-                )
-            if db.oe.class_of(oid) != want_class:
-                raise PersistenceError(
-                    f"extent {extent!r} holds {oid} of class "
-                    f"{db.oe.class_of(oid)!r}, expected {want_class!r}"
-                )
-            ee = ee.with_member(extent, oid)
-    db.ee = ee
-    for d in doc.get("definitions", []):
-        db.define(d)
+    decode_state(db, doc, replace=True)
     for entry in doc.get("sharding", []):
         try:
             db.shard(

@@ -42,14 +42,14 @@ from typing import TYPE_CHECKING
 from repro.db import wal as _wal
 from repro.db.persistence import (
     PersistenceError,
+    decode_state,
+    encode_objects,
+    encode_state,
     load_database,
     read_document,
-    value_from_json,
-    value_to_json,
 )
-from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
+from repro.db.store import ExtentEnv, ObjectEnv
 from repro.db.wal import WalError
-from repro.errors import EvalError
 from repro.lang.pprint import pretty_definition
 from repro.obs import flight as _flight
 from repro.obs._state import STATE as _OBS
@@ -111,13 +111,7 @@ def recover(
     tail* is not an error — it is the crash this module exists to
     absorb, and it is truncated away.
     """
-    ckpt = checkpoint_path(directory)
-    if not os.path.exists(ckpt):
-        raise PersistenceError(
-            f"no checkpoint under {directory!r}: not a durable database "
-            "directory (Database.open creates one)"
-        )
-    doc = read_document(ckpt)
+    doc = _read_checkpoint(directory)
     wpath = wal_path(directory)
     with _span("recovery.replay", directory=directory) as sp:
         records, valid_bytes, scan_error = _wal.scan(wpath)
@@ -129,25 +123,10 @@ def recover(
             # mid-replay (e.g. an injected recovery.replay fault) leaves
             # the files exactly as a fresh recovery expects them
             _wal.truncate_to(wpath, valid_bytes)
-        db = load_database(doc)
-        durability = doc.get("durability", {})
-        ckpt_lsn = int(durability.get("lsn", 0))
-        db.supply.advance_to(int(durability.get("next_oid", 0)))
-        last_lsn = ckpt_lsn
-        replayed = skipped = 0
-        for rec in records:
-            maybe_fault("recovery.replay")
-            lsn = rec["lsn"]
-            if lsn <= ckpt_lsn:
-                skipped += 1
-                continue
-            if lsn <= last_lsn:
-                raise WalError(
-                    f"non-monotone record lsn {lsn} after {last_lsn}"
-                )
-            apply_record(db, rec)
-            last_lsn = lsn
-            replayed += 1
+        db, ckpt_lsn, last_lsn, replayed = _replay(
+            doc, records, fault_site="recovery.replay"
+        )
+        skipped = len(records) - replayed
         if _OBS.enabled:
             _METRICS.counter("recovery_replayed_records_total").inc(replayed)
             _METRICS.counter("recovery_skipped_records_total").inc(skipped)
@@ -193,28 +172,50 @@ def bootstrap(directory: str) -> tuple["Database", int, int]:
     """Non-mutating recover: seed a **replica** from a primary's files.
 
     Rebuilds the state from the checkpoint plus the intact log prefix
-    exactly like :func:`recover`, but never repairs the log (the
-    primary is alive and owns its files), never attaches a WAL to the
-    result, and never dumps the flight ring (replicas resync routinely;
-    a resync is not a crash).  Returns ``(db, last_lsn, valid_bytes)``:
-    the replayed database, the highest LSN it contains, and the byte
-    offset just past the last intact record — the shipper resumes
-    tailing from there.
+    through the same replay as :func:`recover`, but never repairs the
+    log (the primary is alive and owns its files), never attaches a WAL
+    to the result, and never dumps the flight ring (replicas resync
+    routinely; a resync is not a crash).  Returns ``(db, last_lsn,
+    valid_bytes)``: the replayed database, the highest LSN it contains,
+    and the byte offset just past the last intact record — the shipper
+    resumes tailing from there.
     """
+    doc = _read_checkpoint(directory)
+    records, valid_bytes, _scan_error = _wal.scan(wal_path(directory))
+    db, _ckpt_lsn, last_lsn, _replayed = _replay(doc, records)
+    return db, last_lsn, valid_bytes
+
+
+def _read_checkpoint(directory: str) -> dict:
     ckpt = checkpoint_path(directory)
     if not os.path.exists(ckpt):
         raise PersistenceError(
             f"no checkpoint under {directory!r}: not a durable database "
             "directory (Database.open creates one)"
         )
-    doc = read_document(ckpt)
-    records, valid_bytes, _scan_error = _wal.scan(wal_path(directory))
+    return read_document(ckpt)
+
+
+def _replay(
+    doc: dict, records: list[dict], *, fault_site: str | None = None
+) -> tuple["Database", int, int, int]:
+    """Load checkpoint ``doc``, then apply ``records`` past its LSN.
+
+    The one checkpoint-plus-replay loop of :func:`recover` and
+    :func:`bootstrap`.  Records the checkpoint already folded
+    (``lsn ≤ checkpoint lsn``) are skipped; an LSN that does not grow
+    raises :class:`WalError`.  ``fault_site``, when given, fires before
+    each record.  Returns ``(db, checkpoint_lsn, last_lsn, replayed)``.
+    """
     db = load_database(doc)
     durability = doc.get("durability", {})
     ckpt_lsn = int(durability.get("lsn", 0))
     db.supply.advance_to(int(durability.get("next_oid", 0)))
     last_lsn = ckpt_lsn
+    replayed = 0
     for rec in records:
+        if fault_site is not None:
+            maybe_fault(fault_site)
         lsn = rec["lsn"]
         if lsn <= ckpt_lsn:
             continue
@@ -222,7 +223,8 @@ def bootstrap(directory: str) -> tuple["Database", int, int]:
             raise WalError(f"non-monotone record lsn {lsn} after {last_lsn}")
         apply_record(db, rec)
         last_lsn = lsn
-    return db, last_lsn, valid_bytes
+        replayed += 1
+    return db, ckpt_lsn, last_lsn, replayed
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +239,15 @@ def bootstrap(directory: str) -> tuple["Database", int, int]:
 # * ``full`` — the whole state (``U`` commits, rollback, restore);
 # * ``define`` — one definition.
 #
-# Logs written by earlier versions may also hold ``delta`` records that
-# carry each touched extent's whole membership under ``extents``, and
-# ``shard-delta`` records shaped like today's additive ``delta``; the
-# reader applies both.
+# ``objects``, ``extents`` and ``definitions`` are the state stanza of
+# :mod:`repro.db.persistence`, which encodes and decodes them for
+# checkpoints and records alike.  Logs written by earlier versions may
+# also hold ``delta`` records that carry each touched extent's whole
+# membership under ``extents``, and ``shard-delta`` records shaped like
+# today's additive ``delta``; the reader applies both.
 # ---------------------------------------------------------------------------
 
 _DELTA_KINDS = ("delta", "shard-delta")
-
-
-def _encode_object(rec: ObjectRecord) -> dict:
-    return {
-        "class": rec.cname,
-        "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-    }
 
 
 def delta_record(
@@ -274,11 +271,9 @@ def delta_record(
             e: {str(s): sorted(oids) for s, oids in sorted(per.items())}
             for e, per in sorted(shard_adds.items())
         }
-    rec["objects"] = {
-        oid: _encode_object(oe.get(oid))
-        for added in extent_adds.values()
-        for oid in sorted(added)
-    }
+    rec["objects"] = encode_objects(
+        oe, (oid for added in extent_adds.values() for oid in sorted(added))
+    )
     rec["next_oid"] = db.supply.state()
     return rec
 
@@ -298,11 +293,7 @@ def full_record(
         "stmt": stmt,
         "defs_version": db._defs_version,
         "effect": [str(a) for a in effect] if effect is not None else [],
-        "extents": {e: sorted(ee.members(e)) for e in sorted(ee.names())},
-        "objects": {oid: _encode_object(rec) for oid, rec in oe.items()},
-        "definitions": [
-            pretty_definition(d) for d in db.definitions.values()
-        ],
+        **encode_state(ee, oe, db.definitions.values()),
         "next_oid": db.supply.state(),
     }
 
@@ -364,9 +355,11 @@ def apply_record(db: "Database", rec: dict) -> None:
         if kind == "define":
             db.define(rec["source"])
         elif kind in _DELTA_KINDS or kind == "full":
-            _apply_state(db, rec)
-            if kind == "full":
-                _restore_definitions(db, rec.get("definitions", []))
+            # an additive delta is independent of the shard layout, so a
+            # database recovered under a different (or no) shard
+            # declaration reaches the identical extent state; the
+            # ``shards`` stanza only feeds record_marks
+            decode_state(db, rec, replace=kind == "full")
         else:
             raise WalError(f"record lsn {rec.get('lsn')}: unknown kind {kind!r}")
     except WalError:
@@ -376,87 +369,3 @@ def apply_record(db: "Database", rec: dict) -> None:
             f"record lsn {rec.get('lsn')} does not apply: {exc}"
         ) from exc
     db.supply.advance_to(int(rec.get("next_oid", 0)))
-
-
-def _decode_objects(schema, oe: ObjectEnv, objects: dict) -> ObjectEnv:
-    """``oe`` plus a record's logged objects, validated against ``schema``."""
-    fresh: dict[str, ObjectRecord] = {}
-    for oid, entry in sorted(objects.items()):
-        cname = entry["class"]
-        if cname not in schema:
-            raise WalError(f"object {oid}: unknown class {cname!r}")
-        declared = [a for a, _ in schema.atypes(cname)]
-        given = entry.get("attrs", {})
-        if sorted(given) != sorted(declared):
-            raise WalError(
-                f"object {oid}: attribute set {sorted(given)} does not "
-                f"match class {cname} ({sorted(declared)})"
-            )
-        try:
-            attrs = tuple((a, value_from_json(given[a])) for a in declared)
-            fresh[oid] = ObjectRecord(cname, attrs)
-        except (PersistenceError, EvalError) as exc:
-            raise WalError(f"object {oid}: {exc}") from exc
-    return oe.with_objects(fresh)
-
-
-def _apply_state(db: "Database", rec: dict) -> None:
-    """Replay a ``full`` or ``delta`` record's extents and objects.
-
-    A ``full`` record replaces the whole state.  An additive delta
-    unions each extent's ``adds`` in — idempotent, and independent of
-    the shard layout, so a database recovered under a different (or
-    no) shard declaration reaches the identical extent state; the
-    ``shards`` stanza only feeds :func:`record_marks`.  A legacy delta
-    resets each extent it names to its logged membership.
-    """
-    schema = db.schema
-    full = rec.get("kind") == "full"
-    additive = "adds" in rec
-    oe = _decode_objects(
-        schema, ObjectEnv() if full else db.oe, rec.get("objects", {})
-    )
-    ee = ExtentEnv.for_schema(schema) if full else db.ee
-    logged = rec["adds"] if additive else rec.get("extents", {})
-    for extent, members in sorted(logged.items()):
-        if extent not in ee:
-            raise WalError(f"unknown extent {extent!r} in record")
-        want = schema.extent_class(extent)
-        for oid in members:
-            if oid not in oe:
-                raise WalError(
-                    f"extent {extent!r} references missing object {oid}"
-                )
-            if oe.class_of(oid) != want:
-                raise WalError(
-                    f"extent {extent!r} holds {oid} of class "
-                    f"{oe.class_of(oid)!r}, expected {want!r}"
-                )
-        if not additive:
-            ee = ee.with_members(extent, frozenset(members))
-        elif members:
-            ee = ee.with_members(extent, ee.members(extent).union(members))
-    # OE before EE: same installation order as Database commit
-    db.oe = oe
-    db.ee = ee
-
-
-def _restore_definitions(db: "Database", sources: list[str]) -> None:
-    """Reset the definition environment to exactly ``sources``.
-
-    Full records capture the whole DE because the unattributed state
-    changes that produce them (transaction rollback, restore) may have
-    *removed* definitions — replaying only additions cannot express
-    that.
-    """
-    if list(sources) == [
-        pretty_definition(d) for d in db.definitions.values()
-    ]:
-        return
-    db._defs_version += 1
-    db._definitions.clear()
-    db._def_types.clear()
-    db.machine.defs = db._definitions
-    for source in sources:
-        db.define(source)
-

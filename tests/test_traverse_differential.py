@@ -2,7 +2,7 @@
 
 Every query runs through all three engines — the big-step fixpoint (the
 spec), the reduction machine's (Traverse) rule, and the compiled
-pipeline with its GREEN / YELLOW / RED complexity routing — and all
+pipeline with its YELLOW / RED complexity routing — and all
 three must agree exactly with an *independent* model-level closure
 (:func:`tests.traverse_helpers.reachable`).  The compiled run's dynamic
 effect must additionally stay inside the static Figure-3 bound.
@@ -10,11 +10,11 @@ effect must additionally stay inside the static Figure-3 bound.
 Shapes are chosen to stress the fixpoint's edge rules: self-loops
 (1-cycles), 2-cycles, diamonds (converging chains, where naive
 frontier handling double-visits), chains deeper than 1000 nodes (well
-past the GREEN unrolling bound and any plausible stack limit),
-disconnected components, and mixed Ref/Node chains whose leaves lack
-the traversed attribute.  Depths cover every route: 0/2/8 unroll GREEN,
-9/50 take the YELLOW iterative chase, unbounded takes RED (interval
-index when acyclic, chase fallback otherwise).
+past any plausible stack limit), disconnected components, and mixed
+Ref/Node chains whose leaves lack the traversed attribute.  Depths cover
+every route: every bounded depth (0/2/8/9/50) takes the YELLOW
+iterative chase, unbounded takes RED (interval index when acyclic,
+chase fallback otherwise).
 
 The grid is 6 shapes x 10 seeds x 6 depths = 360 differential queries,
 plus sharded-extent and ``run_many`` batches over the same stores.
@@ -80,7 +80,7 @@ def shape_diamond(rng: random.Random) -> dict:
 
 
 def shape_deep_chain(rng: random.Random) -> dict:
-    """A single chain > 1000 nodes — far past the GREEN bound."""
+    """A single chain > 1000 nodes — far past any recursion limit."""
     n = 1001 + rng.randrange(50)
     edges = {f"c{i:05d}": f"c{i + 1:05d}" for i in range(n - 1)}
     edges[f"c{n - 1:05d}"] = None
