@@ -215,7 +215,7 @@ def random_suite(
     oid_types: dict[str, Type] = {
         oid: ClassType(rec.cname) for oid, rec in oe.items()
     }
-    ctx = TypeContext(schema, vars=oid_types)
+    ctx = TypeContext(schema, base=oid_types)
     return schema, ee, oe, machine, ctx, queries
 
 

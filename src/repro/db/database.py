@@ -672,8 +672,9 @@ class Database:
     def oid_types(self) -> dict[str, Type]:
         """The oid fragment of Q: every live oid at its dynamic class.
 
-        Memoised on the store version: callers must not mutate the
-        returned dict (``TypeContext.extend`` copies before binding).
+        Memoised on the store version.  Every context from
+        :meth:`type_context` holds the returned dict by reference as
+        Q's fixed part, so callers must not mutate it.
         """
         cached = self._oid_types_cache
         version = self._state_version
@@ -688,7 +689,7 @@ class Database:
     def type_context(self) -> TypeContext:
         """(E; D; Q) for this database's current state."""
         return TypeContext(
-            self.schema, defs=dict(self._def_types), vars=self.oid_types()
+            self.schema, defs=dict(self._def_types), base=self.oid_types()
         )
 
     # -- parsing -----------------------------------------------------------
@@ -774,8 +775,10 @@ class Database:
     ) -> EvalResult:
         """Evaluate a query under one strategy; optionally commit EE/OE.
 
-        ``typecheck=True`` (default) runs Figure 1 first, so evaluation
-        enjoys Theorem 3 and can never get stuck.  ``engine`` selects
+        ``typecheck=True`` (default) types the query first, so
+        evaluation enjoys Theorem 3 and can never get stuck.  One Figure
+        3 derivation gives both the Figure 1 type and the effect that
+        picks the engine and bounds an ``atomic`` scope.  ``engine`` selects
         the presentation: ``"auto"`` (default) routes the query through
         the compiled set-at-a-time engine when the Figure 3 effect
         system proves it read-only (Theorem 4 then guarantees the
@@ -810,13 +813,24 @@ class Database:
         self._check_fenced()
         with _span("query", engine=engine):
             q = self.parse(source)
+            static_eff: Effect | None = None
             if typecheck:
-                self.typecheck(q)
+                with _span("typecheck"):
+                    if _OBS.enabled:
+                        _METRICS.counter("typecheck_total").inc()
+                    ctx = self.type_context()
+                    try:
+                        _, static_eff = EffectChecker().check_traced(ctx, q)
+                    except ReproError:
+                        # Figure 1 re-checks only so that the error keeps
+                        # its wording; if it accepts, decide falls back
+                        check_query(ctx, q)
             scope: TransactionScope | None = None
             if atomic:
-                _, static_eff = EffectChecker().check_traced(
-                    self.type_context(), q
-                )
+                if static_eff is None:
+                    _, static_eff = EffectChecker().check_traced(
+                        self.type_context(), q
+                    )
                 scope = TransactionScope.capture(self, static_eff)
             attempt = 0
             while True:
@@ -832,6 +846,7 @@ class Database:
                         commit=commit,
                         engine=engine,
                         budget=attempt_budget,
+                        static_effect=static_eff,
                     )
                 except Exception as exc:
                     if scope is not None:
@@ -863,11 +878,16 @@ class Database:
         commit: bool,
         engine: str,
         budget: Budget | None,
+        static_effect: Effect | None,
     ) -> EvalResult:
-        """One evaluation attempt plus (optionally) its commit."""
+        """One evaluation attempt plus (optionally) its commit.
+
+        ``static_effect`` is the Figure 3 effect :meth:`run` derived,
+        or None when it derived none.
+        """
         decision: PlanDecision | None = None
         if engine == "auto":
-            decision = self.plan_decision(q)
+            decision = _decide_engine(self, q, static_effect)
             if self._replicas is not None:
                 # effect-proven read-only: try a fresh-enough replica;
                 # None means none covers the R-set right now, and the
@@ -882,7 +902,7 @@ class Database:
                     return routed
             engine = decision.engine
         elif engine == "compiled":
-            decision = self.plan_decision(q)
+            decision = _decide_engine(self, q, static_effect)
             if decision.engine != "compiled":
                 raise ValueError(
                     f"query cannot run on the compiled engine: "

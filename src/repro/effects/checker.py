@@ -60,7 +60,7 @@ from repro.lang.ast import (
     Traverse,
     Var,
 )
-from repro.model.closure import closure_read_set, result_lub
+from repro.model.closure import attr_in_closure, closure_read_set, result_lub
 from repro.model.schema import Schema
 from repro.obs._state import STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -138,7 +138,11 @@ class EffectChecker:
 
     # -- the judgement ---------------------------------------------------
     def check(self, ctx: TypeContext, q: Query) -> tuple[Type, Effect]:
-        """Derive ``q : σ ! ε``; raises on type errors or hook vetoes."""
+        """Derive ``q : σ ! ε``; raises on type errors or hook vetoes.
+
+        The base system accepts exactly the queries Figure 1 accepts,
+        at the same σ: ``Database.run`` types with this alone.
+        """
         # (Int), (Bool), strings: values have the empty effect (Lemma 2.1)
         if isinstance(q, IntLit):
             return INT, EMPTY
@@ -230,6 +234,9 @@ class EffectChecker:
             return BOOL, le | re_
 
         if isinstance(q, RecordLit):
+            labels = q.labels()
+            if len(labels) != len(set(labels)):
+                raise IOQLTypeError(f"duplicate labels in record {labels}")
             fields: list[tuple[str, Type]] = []
             eff = EMPTY
             for l, sub in q.fields:
@@ -277,6 +284,8 @@ class EffectChecker:
             return INT, eff
 
         if isinstance(q, Cast):
+            if not ctx.schema.hierarchy.declared(q.cname):
+                raise IOQLTypeError(f"cast to unknown class {q.cname!r}")
             at, eff = self.check(ctx, q.arg)
             if isinstance(at, NeverType):
                 return ClassType(q.cname), eff
@@ -342,6 +351,11 @@ class EffectChecker:
                 return SetType(NEVER), eff
             if not isinstance(st, SetType) or not isinstance(st.elem, ClassType):
                 raise IOQLTypeError(f"traverse needs a set of objects, got {st}")
+            if not attr_in_closure(ctx.schema, st.elem.name, q.attr):
+                raise IOQLTypeError(
+                    f"traverse attribute {q.attr!r} is not declared by any "
+                    f"class reachable from {st.elem.name}"
+                )
             reads = closure_read_set(ctx.schema, st.elem.name, q.attr)
             eff |= Effect.of(*(read(c) for c in sorted(reads)))
             elem = result_lub(ctx.schema, st.elem.name, q.attr)
@@ -401,7 +415,7 @@ class EffectChecker:
     ) -> tuple[Type, Effect]:
         """⊢_prog: thread definition (effect-annotated) types, then the
         final query."""
-        ctx = TypeContext(schema, vars=dict(oid_types or {}))
+        ctx = TypeContext(schema, base=oid_types or {})
         for d in p.definitions:
             ctx = ctx.with_def(d.name, self.check_definition(ctx, d))
         return self.check(ctx, p.query)
@@ -446,6 +460,6 @@ def effect_of(
     var_types: Mapping[str, Type] | None = None,
 ) -> Effect:
     """Convenience: the inferred effect ε of ``q`` under the base system."""
-    ctx = TypeContext(schema, defs=dict(defs or {}), vars=dict(var_types or {}))
+    ctx = TypeContext(schema, defs=dict(defs or {}), base=var_types or {})
     _, eff = EffectChecker().check(ctx, q)
     return eff

@@ -75,7 +75,7 @@ def analyze_commutativity(
     var_types: Mapping[str, Type] | None = None,
 ) -> tuple[Type, Effect, list[CommutationConflict]]:
     """Run ⊢″; return (type, effect, conflict witnesses)."""
-    ctx = TypeContext(schema, defs=dict(defs or {}), vars=dict(var_types or {}))
+    ctx = TypeContext(schema, defs=dict(defs or {}), base=var_types or {})
     checker = CommutativityChecker()
     t, eff = checker.check(ctx, q)
     return t, eff, checker.conflicts
@@ -119,7 +119,7 @@ def may_commute(
     """
     from repro.model.types import ListType
 
-    ctx = TypeContext(schema, defs=dict(defs or {}), vars=dict(var_types or {}))
+    ctx = TypeContext(schema, defs=dict(defs or {}), base=var_types or {})
     checker = EffectChecker()
     lt, le = checker.check(ctx, left)
     rt, re_ = checker.check(ctx, right)

@@ -91,7 +91,7 @@ def analyze_determinism(
     by Theorem 7 every evaluation order yields the same answer and final
     database up to an oid bijection.
     """
-    ctx = TypeContext(schema, defs=dict(defs or {}), vars=dict(var_types or {}))
+    ctx = TypeContext(schema, defs=dict(defs or {}), base=var_types or {})
     checker = DeterminismChecker()
     t, eff = checker.check(ctx, q)
     return t, eff, checker.interferences

@@ -39,16 +39,21 @@ class PlanDecision:
         return self.entry.plan if self.entry is not None else None
 
 
-def decide(db, q: Query) -> PlanDecision:
-    """The compile/fallback decision for one parsed query."""
+def decide(db, q: Query, eff: Effect | None = None) -> PlanDecision:
+    """The compile/fallback decision for one parsed query.
+
+    ``eff`` is ``q``'s Figure 3 effect when the caller has derived it
+    already; otherwise it is derived here.
+    """
     from repro.errors import ReproError
 
-    try:
-        _, eff = db.typecheck_with_effect(q)
-    except ReproError as exc:
-        return PlanDecision(
-            "reduction", f"static analysis failed ({exc})"
-        )
+    if eff is None:
+        try:
+            _, eff = db.typecheck_with_effect(q)
+        except ReproError as exc:
+            return PlanDecision(
+                "reduction", f"static analysis failed ({exc})"
+            )
     if eff.writes():
         written = ", ".join(sorted(eff.writes()))
         return PlanDecision(

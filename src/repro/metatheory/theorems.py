@@ -62,7 +62,7 @@ def _ctx_for(schema: Schema, oe: ObjectEnv, defs=None) -> TypeContext:
     oid_types: dict[str, Type] = {
         oid: ClassType(rec.cname) for oid, rec in oe.items()
     }
-    return TypeContext(schema, defs=dict(defs or {}), vars=oid_types)
+    return TypeContext(schema, defs=dict(defs or {}), base=oid_types)
 
 
 def is_functional(q: Query, definitions: dict[str, Definition] | None = None) -> bool:

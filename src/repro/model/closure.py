@@ -48,6 +48,16 @@ def attr_declared(schema: Schema, cname: str, attr: str) -> bool:
     return True
 
 
+def attr_in_closure(schema: Schema, cname: str, attr: str) -> bool:
+    """False iff no class a traversal of ``attr`` from ``cname`` may
+    reach declares ``attr``: the traversal would be the identity on its
+    source, so the attribute can only be a typo.  Both type systems
+    reject such a ``traverse``.
+    """
+    cone, escaped = reachable_closure(schema, cname, attr)
+    return escaped or any(attr_declared(schema, c, attr) for c in cone)
+
+
 def attr_target(schema: Schema, cname: str, attr: str) -> str | None:
     """The class ``attr`` points at from ``cname``, or ``None``.
 

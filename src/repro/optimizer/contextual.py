@@ -175,7 +175,7 @@ def _compose(t: Type, schema, depth: int) -> Iterator[tuple[str, Context]]:
         from repro.typing.checker import check_query
         from repro.typing.context import TypeContext
 
-        ctx = TypeContext(schema, vars={"__probe__": t})
+        ctx = TypeContext(schema, base={"__probe__": t})
         try:
             t1 = check_query(ctx, fn1(probe))
         except IOQLTypeError:

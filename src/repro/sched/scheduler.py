@@ -529,7 +529,8 @@ class QueryScheduler:
             else:
                 res = self.db.run(
                     adm.query,
-                    typecheck=False,  # Figures 1/3 already ran at admission
+                    # admission ran Figure 3, which gives the Figure 1 type
+                    typecheck=False,
                     commit=writer,
                     budget=budget,
                     atomic=self.atomic if writer else False,

@@ -57,7 +57,7 @@ from repro.lang.ast import (
     Traverse,
     Var,
 )
-from repro.model.closure import attr_declared, reachable_closure, result_lub
+from repro.model.closure import attr_in_closure, result_lub
 from repro.model.schema import Schema
 from repro.model.subtyping import check_type_well_formed
 from repro.model.types import (
@@ -304,10 +304,7 @@ def check_query(ctx: TypeContext, q: Query) -> Type:
         # A primitive-typed attribute is a legitimate chase leaf, but an
         # attribute declared *nowhere* in the widened closure can only
         # be a typo — the traversal would be the identity on its source.
-        cone, escaped = reachable_closure(ctx.schema, st.elem.name, q.attr)
-        if not escaped and not any(
-            attr_declared(ctx.schema, c, q.attr) for c in cone
-        ):
+        if not attr_in_closure(ctx.schema, st.elem.name, q.attr):
             raise IOQLTypeError(
                 f"traverse attribute {q.attr!r} is not declared by any "
                 f"class reachable from {st.elem.name}"
@@ -353,9 +350,9 @@ def check_program(schema: Schema, p: Program, *, oid_types: dict[str, Type] | No
 
     Definitions are non-recursive — each may call only those before it.
     ``oid_types`` supplies the oid portion of Q for runtime
-    configurations.
+    configurations; it is shared with the context, not copied.
     """
-    ctx = TypeContext(schema, vars=dict(oid_types or {}))
+    ctx = TypeContext(schema, base=oid_types or {})
     for d in p.definitions:
         if d.name in ctx.defs:
             raise IOQLTypeError(f"definition {d.name!r} given twice")
@@ -365,7 +362,7 @@ def check_program(schema: Schema, p: Program, *, oid_types: dict[str, Type] | No
 
 def program_context(schema: Schema, p: Program, *, oid_types: dict[str, Type] | None = None) -> TypeContext:
     """The context (E; D; Q) in scope for the final query of ``p``."""
-    ctx = TypeContext(schema, vars=dict(oid_types or {}))
+    ctx = TypeContext(schema, base=oid_types or {})
     for d in p.definitions:
         ctx = ctx.with_def(d.name, check_definition(ctx, d))
     return ctx

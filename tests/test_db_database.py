@@ -142,6 +142,79 @@ class TestStaticAnalysis:
         hr_db.check_commutable("Persons union Managers")
 
 
+class TestFrontEnd:
+    """Q is consulted in place, and ``run`` derives type and effect once."""
+
+    def test_binder_shares_q_and_copies_only_locals(self, hr_db):
+        ctx = hr_db.type_context().extend("x", INT)
+        assert ctx.base is hr_db.oid_types()
+        assert dict(ctx.vars) == {"x": INT}
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Every Figure 1 run by the database and every traced Figure 3."""
+        import repro.db.database as database
+        from repro.effects.checker import EffectChecker
+
+        calls: list[str] = []
+        check_traced = EffectChecker.check_traced
+        check_query = database.check_query
+
+        def counted_traced(self, ctx, q):
+            calls.append("figure 3")
+            return check_traced(self, ctx, q)
+
+        def counted_check(ctx, q):
+            calls.append("figure 1")
+            return check_query(ctx, q)
+
+        monkeypatch.setattr(EffectChecker, "check_traced", counted_traced)
+        monkeypatch.setattr(database, "check_query", counted_check)
+        return calls
+
+    NEW = 'new Person(name: "N", age: 1, address: "A")'
+
+    @pytest.mark.parametrize(
+        "src, kw, warm",
+        [
+            ("{ e.name | e <- Employees }", {}, False),  # plan-cache miss
+            ("{ e.name | e <- Employees }", {}, True),  # plan-cache hit
+            (NEW, {}, False),
+            (NEW, {"atomic": True}, False),
+        ],
+        ids=["read-miss", "read-hit", "new", "atomic"],
+    )
+    def test_run_derives_once(self, hr_db, derivations, src, kw, warm):
+        if warm:
+            hr_db.run(src)
+            derivations.clear()
+        hr_db.run(src, **kw)
+        assert derivations == ["figure 3"]
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("1 + true", "right operand of + must have type int, got bool"),
+            (
+                "traverse(p in Persons over nosuch)",
+                "traverse attribute 'nosuch' is not declared by any class "
+                "reachable from Person",
+            ),
+            ("{ (Nope) x | x <- {} }", "cast to unknown class 'Nope'"),
+            ("struct(a: 1, a: 2)", "duplicate labels in record ('a', 'a')"),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "reduction"])
+    def test_ill_typed_run_keeps_figure1_wording(
+        self, hr_db, src, message, engine
+    ):
+        with pytest.raises(IOQLTypeError) as by_typecheck:
+            hr_db.typecheck(src)
+        with pytest.raises(IOQLTypeError) as by_run:
+            hr_db.run(src, engine=engine)
+        assert str(by_run.value) == str(by_typecheck.value) == message
+
+
 class TestSnapshots:
     def test_snapshot_restore(self, hr_db):
         snap = hr_db.snapshot()

@@ -10,7 +10,9 @@ A promotion is a claim that the entry is still exact at the new store
 version.  This suite checks every such claim: it replays the existing
 scheduler, shard, WAL and traverse differential corpora (their own
 generators and seeds) with a hook after each commit's maintenance that
-rebuilds every entry stamped with the new version and compares.
+rebuilds every entry stamped with the new version and compares.  The
+oid-type memo (the oid part of Q, which every typing context reads by
+reference) is compared with Q rebuilt from OE after every commit too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from repro.db.statistics import ColumnStats
 from repro.db.store import build_closure_index
 from repro.exec.runtime import build_attr_index
+from repro.model.types import ClassType
 from repro.semantics.bigstep import evaluate_bigstep
 from repro.semantics.bijection import values_equivalent
 from tests.test_sched_differential import _twins as sched_twins
@@ -35,7 +38,10 @@ from tests.test_traverse_differential import (
 from tests.test_wal_differential import _twins as wal_twins
 from tests.traverse_helpers import graph_db
 
-KINDS = ("results", "attr_indexes", "shard_parts", "closure_indexes", "stats")
+KINDS = (
+    "results", "attr_indexes", "shard_parts", "closure_indexes", "stats",
+    "oid_types",
+)
 
 
 def _as_sets(idx: dict) -> dict:
@@ -149,12 +155,20 @@ def check_stats(db, counts) -> None:
         counts["stats"] += 1
 
 
+def check_oid_types(db, counts) -> None:
+    """§3.2's Q restricted to oids: every live oid at its class in OE."""
+    want = {oid: ClassType(rec.cname) for oid, rec in db.oe.items()}
+    assert db.oid_types() == want, f"oid types at {db._state_version}"
+    counts["oid_types"] += 1
+
+
 CHECKS = (
     check_results,
     check_attr_indexes,
     check_shard_parts,
     check_closure_indexes,
     check_stats,
+    check_oid_types,
 )
 
 

@@ -1,13 +1,42 @@
 """Unit tests for the Figure 3 effect system (repro.effects.checker)."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.effects.algebra import EMPTY, Effect, add, read, update
 from repro.effects.checker import EffectChecker, effect_of
 from repro.errors import IOQLTypeError
+from repro.lang.ast import (
+    BagLit,
+    BoolLit,
+    Cast,
+    Comp,
+    Field,
+    Gen,
+    IntLit,
+    ListLit,
+    RecordLit,
+    SetLit,
+    SetOp,
+    SetOpKind,
+    StrLit,
+    Sum,
+    ToSet,
+    Traverse,
+    Var,
+)
 from repro.lang.parser import parse_program, parse_query
+from repro.lang.traversal import map_subqueries, walk
+from repro.metatheory.generators import (
+    QueryGenerator,
+    make_random_schema,
+    make_random_store,
+)
 from repro.model.odl_parser import parse_schema
 from repro.model.types import INT, SetType, ClassType
+from repro.typing.checker import check_query
 from repro.typing.context import TypeContext
 
 ODL = """
@@ -119,8 +148,6 @@ class TestTypeAgreement:
         ],
     )
     def test_types_match_figure1(self, schema, src):
-        from repro.typing.checker import check_query
-
         q = parse_query(src, schema=schema)
         ctx = TypeContext(schema)
         t1 = check_query(ctx, q)
@@ -128,10 +155,114 @@ class TestTypeAgreement:
         assert t1 == t2
 
     def test_type_errors_match(self, schema):
-        q = parse_query("1 + true", schema=schema)
         ctx = TypeContext(schema)
-        with pytest.raises(IOQLTypeError):
-            EffectChecker().check(ctx, q)
+        for src in (
+            "1 + true",
+            "traverse(p in Persons over nosuch)",
+            "{ (Nope) x | x <- {} }",
+            "struct(a: 1, a: 2)",
+        ):
+            q = parse_query(src, schema=schema)
+            with pytest.raises(IOQLTypeError):
+                check_query(ctx, q)
+            with pytest.raises(IOQLTypeError):
+                EffectChecker().check(ctx, q)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_generated_corpus_agrees_with_figure1(self, seed):
+        """Figure 3 derives Figure 1's type on every generated query,
+        and they reject the same queries when a random subterm is
+        replaced by a primitive literal or put under each of the query
+        forms of :func:`_wrappers`.  ``Database.run`` types with
+        Figure 3 alone on the strength of this."""
+        rng = random.Random(seed)
+        schema = make_random_schema(rng)
+        _, oe, _ = make_random_store(schema, rng)
+        gen = QueryGenerator(schema, oe, rng, max_depth=4)
+        wrappers = _wrappers(schema, rng)
+        ctx = TypeContext(
+            schema, base={o: ClassType(r.cname) for o, r in oe.items()}
+        )
+
+        def judge(check, q):
+            try:
+                return check(ctx, q)
+            except IOQLTypeError:
+                return IOQLTypeError
+
+        accepted = rejected = 0
+        for _ in range(20):
+            q = gen.query(gen.random_type())
+            literal = _replace_one(
+                q, rng, lambda _: rng.choice([IntLit(3), BoolLit(True), StrLit("ada")])
+            )
+            wrapped = [_replace_one(q, rng, w) for w in wrappers]
+            for candidate in (q, literal, *wrapped):
+                t1 = judge(check_query, candidate)
+                t2 = judge(lambda c, x: EffectChecker().check(c, x)[0], candidate)
+                assert t1 == t2, f"{candidate}: Figure 1 {t1}, Figure 3 {t2}"
+                if t1 is IOQLTypeError:
+                    rejected += 1
+                else:
+                    accepted += 1
+        assert accepted and rejected
+
+
+def _replace_one(q, rng, make):
+    """``q`` with one random subterm ``s`` replaced by ``make(s)``."""
+    victim = rng.randrange(sum(1 for _ in walk(q)))
+    index = itertools.count()
+
+    def go(node):
+        if next(index) == victim:
+            return make(node)
+        return map_subqueries(node, go)
+
+    return go(q)
+
+
+def _wrappers(schema, rng):
+    """One function per query form, each putting a subterm under that
+    form; the form may name an undeclared class or attribute, a negative
+    depth or one label twice.  In a third of cases it takes a ⊥-typed
+    variable bound over ``{}`` instead of the subterm.  The generator
+    builds only well-typed queries, and no traverse, sum, toset, bag or
+    list."""
+    classes = sorted(schema.class_names() | {"Object", "Nope"})
+    labels = sorted(
+        {a for c in schema.class_names() for a, _ in schema.atypes(c)}
+        | {"l", "nosuch"}
+    )
+
+    def set_op(a):
+        kind = rng.choice([BagLit, ListLit])
+        return SetOp(rng.choice(list(SetOpKind)), kind((a,)), kind(()))
+
+    forms = [
+        lambda a: Cast(rng.choice(classes), a),
+        lambda a: Traverse(
+            "t",
+            rng.choice([a, SetLit((a,))]),
+            rng.choice(labels),
+            rng.choice([None, 0, 2, -1]),
+        ),
+        lambda a: RecordLit((("l", a), (rng.choice("lm"), a))),
+        lambda a: Field(a, rng.choice(labels)),
+        Sum,
+        ToSet,
+        lambda a: rng.choice([BagLit, ListLit])((a, a)),
+        set_op,
+    ]
+
+    def under(form):
+        def wrap(sub):
+            if rng.random() < 1 / 3:
+                return Comp(form(Var("z")), (Gen("z", SetLit(())),))
+            return form(sub)
+
+        return wrap
+
+    return [under(f) for f in forms]
 
 
 class TestDefinitionsWithLatentEffects:

@@ -85,7 +85,7 @@ class TestQueryGenerator:
         gen = QueryGenerator(schema, oe, rng, max_depth=5)
         ctx = TypeContext(
             schema,
-            vars={oid: ClassType(rec.cname) for oid, rec in oe.items()},
+            base={oid: ClassType(rec.cname) for oid, rec in oe.items()},
         )
         for _ in range(10):
             target = gen.random_type()

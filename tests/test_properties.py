@@ -101,7 +101,7 @@ def _config(seed: int, *, allow_new=True, depth=4):
     gen = QueryGenerator(schema, oe, rng, allow_new=allow_new, max_depth=depth)
     machine = Machine(schema, oid_supply=supply)
     ctx = TypeContext(
-        schema, vars={oid: ClassType(rec.cname) for oid, rec in oe.items()}
+        schema, base={oid: ClassType(rec.cname) for oid, rec in oe.items()}
     )
     return schema, ee, oe, machine, gen, ctx
 
