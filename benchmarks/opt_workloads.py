@@ -97,7 +97,6 @@ def compile_with(db: Database, src: str, model: CostModel):
     return PlanEntry(
         plan=plan,
         reads=eff.reads(),
-        static_effect=eff,
         stats_epoch=model.stats_epoch,
     )
 

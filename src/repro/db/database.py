@@ -67,6 +67,7 @@ from repro.exec.cache import PlanCache, schema_fingerprint
 from repro.exec.engine import (
     PlanDecision,
     decide as _decide_engine,
+    derive_effect as _derive_effect,
     execute_plan,
     explain as _explain,
     route_read as _route_read,
@@ -278,14 +279,16 @@ class Database:
         """Effect-guided maintenance of every derived structure.
 
         By Theorem 5 the dynamic trace of the committed statement is a
-        subeffect of ``effect``, so a plan/result/index/statistic whose
-        reads are disjoint from the written classes is provably
+        subeffect of ``effect``, so a cached result, index or statistic
+        whose reads are disjoint from the written classes is provably
         unaffected: it is promoted to the new store version (see
         :func:`repro.db.store.apply_commit`).  Affected entries are
         evicted, or folded forward where ``adds`` (extent → newly added
-        oids) allows.  State changes with *unknown* effects (restore,
-        persistence load, rollback) never reach this method — their
-        version bump alone lazily invalidates every cached result.
+        oids) allows.  Compiled plans hold no store data and stay.
+        State changes with *unknown* effects (restore, persistence
+        load, rollback, a replica's applied record) never reach this
+        method — their version bump alone lazily invalidates every
+        cached result.
         """
         post = self._state_version
         if post == pre:
@@ -775,10 +778,12 @@ class Database:
     ) -> EvalResult:
         """Evaluate a query under one strategy; optionally commit EE/OE.
 
-        ``typecheck=True`` (default) types the query first, so
-        evaluation enjoys Theorem 3 and can never get stuck.  One Figure
-        3 derivation gives both the Figure 1 type and the effect that
-        picks the engine and bounds an ``atomic`` scope.  ``engine`` selects
+        Every call makes one Figure 3 derivation: it gives the Figure 1
+        type and the effect that routes the read, picks the engine and
+        bounds an ``atomic`` scope.  ``typecheck=True`` (default) raises
+        when the query is ill-typed, so evaluation enjoys Theorem 3 and
+        can never get stuck; ``typecheck=False`` lets an ill-typed query
+        run on the machine.  ``engine`` selects
         the presentation: ``"auto"`` (default) routes the query through
         the compiled set-at-a-time engine when the Figure 3 effect
         system proves it read-only (Theorem 4 then guarantees the
@@ -813,25 +818,18 @@ class Database:
         self._check_fenced()
         with _span("query", engine=engine):
             q = self.parse(source)
-            static_eff: Effect | None = None
-            if typecheck:
-                with _span("typecheck"):
-                    if _OBS.enabled:
-                        _METRICS.counter("typecheck_total").inc()
-                    ctx = self.type_context()
-                    try:
-                        _, static_eff = EffectChecker().check_traced(ctx, q)
-                    except ReproError:
+            with _span("typecheck"):
+                if _OBS.enabled:
+                    _METRICS.counter("typecheck_total").inc()
+                eff = _derive_effect(self, q)
+                if isinstance(eff, ReproError):
+                    if typecheck:
                         # Figure 1 re-checks only so that the error keeps
                         # its wording; if it accepts, decide falls back
-                        check_query(ctx, q)
-            scope: TransactionScope | None = None
-            if atomic:
-                if static_eff is None:
-                    _, static_eff = EffectChecker().check_traced(
-                        self.type_context(), q
-                    )
-                scope = TransactionScope.capture(self, static_eff)
+                        check_query(self.type_context(), q)
+                    if atomic:
+                        raise eff  # no effect bounds the rollback scope
+            scope = TransactionScope.capture(self, eff) if atomic else None
             attempt = 0
             while True:
                 attempt += 1
@@ -846,7 +844,7 @@ class Database:
                         commit=commit,
                         engine=engine,
                         budget=attempt_budget,
-                        static_effect=static_eff,
+                        eff=eff,
                     )
                 except Exception as exc:
                     if scope is not None:
@@ -878,31 +876,32 @@ class Database:
         commit: bool,
         engine: str,
         budget: Budget | None,
-        static_effect: Effect | None,
+        eff: Effect | ReproError,
     ) -> EvalResult:
         """One evaluation attempt plus (optionally) its commit.
 
-        ``static_effect`` is the Figure 3 effect :meth:`run` derived,
-        or None when it derived none.
+        ``eff`` is the Figure 3 effect :meth:`run` derived, or the error
+        its derivation raised.
         """
         decision: PlanDecision | None = None
         if engine == "auto":
-            decision = _decide_engine(self, q, static_effect)
             if self._replicas is not None:
-                # effect-proven read-only: try a fresh-enough replica;
-                # None means none covers the R-set right now, and the
-                # primary serves (counted by the router, never wrong)
+                # effect-proven read-only: try a fresh-enough replica,
+                # which plans the read itself; None means none covers
+                # the R-set right now, and the primary plans and serves
+                # (counted by the router, never wrong)
                 routed = _route_read(
-                    self, q, decision,
+                    self, q, eff,
                     strategy=strategy, max_steps=max_steps, budget=budget,
                 )
                 if routed is not None:
                     self._qstats["runs"] += 1
                     self._qstats["routed_reads"] += 1
                     return routed
+            decision = _decide_engine(self, q, eff)
             engine = decision.engine
         elif engine == "compiled":
-            decision = _decide_engine(self, q, static_effect)
+            decision = _decide_engine(self, q, eff)
             if decision.engine != "compiled":
                 raise ValueError(
                     f"query cannot run on the compiled engine: "
@@ -917,7 +916,7 @@ class Database:
         base_ee, base_oe = self.ee, self.oe
         with _span("eval", engine=engine) as ev_sp:
             if engine == "compiled":
-                result = self._run_compiled(decision, budget=budget)
+                result = self._run_compiled(q, decision, budget=budget)
             elif engine == "bigstep":
                 from repro.semantics.bigstep import evaluate_bigstep
 
@@ -1007,37 +1006,31 @@ class Database:
         return result
 
     def _run_compiled(
-        self, decision: PlanDecision, *, budget: Budget | None
+        self, q: Query, decision: PlanDecision, *, budget: Budget | None
     ) -> EvalResult:
         """Execute (or replay from the result cache) a compiled plan."""
         entry = decision.entry
         version = self._state_version
-        if entry.result is not None and entry.result_version == version:
+        hit = self._plan_cache.result(entry, version)
+        if hit is not None:
+            _, value, effect, ops, _ = hit
             self._qstats["result_cache_hits"] += 1
             if _OBS.enabled:
                 _METRICS.counter("exec_result_cache_hits_total").inc()
-            return EvalResult(
-                value=entry.result,
-                ee=self.ee,
-                oe=self.oe,
-                steps=entry.result_steps,
-                effect=entry.result_effect,
-                engine="compiled",
+        else:
+            trace: dict = {}
+            value, effect, ops = execute_plan(
+                self, entry, budget=budget, trace=trace
             )
-        trace: dict = {}
-        value, effect, ops = execute_plan(
-            self, entry, budget=budget, trace=trace
-        )
-        entry.result = value
-        entry.result_effect = effect
-        entry.result_steps = ops
-        entry.result_version = version
-        # the dynamic (class, shard) read trace keys the result under
-        # per-shard invalidation (PlanCache.note_write shard_writes)
-        entry.result_shard_reads = trace.get("shard_reads")
-        if _OBS.enabled:
-            _METRICS.counter("exec_compiled_total").inc()
-            _METRICS.counter("exec_ops_total").inc(ops)
+            # the dynamic (class, shard) read trace keys the result under
+            # per-shard invalidation (PlanCache.note_write shard_writes)
+            self._plan_cache.keep_result(
+                q, self._defs_version, entry,
+                (version, value, effect, ops, trace.get("shard_reads")),
+            )
+            if _OBS.enabled:
+                _METRICS.counter("exec_compiled_total").inc()
+                _METRICS.counter("exec_ops_total").inc(ops)
         return EvalResult(
             value=value,
             ee=self.ee,
@@ -1064,7 +1057,7 @@ class Database:
         replica that kept applying shipped records — has installed
         since.  Never commits, never touches the live caches' results.
         """
-        decision = self.plan_decision(q)
+        decision = _decide_engine(self, q, _derive_effect(self, q))
         if decision.engine == "compiled":
             value, effect, ops = execute_plan(
                 self, decision.entry, budget=budget, ee=ee, oe=oe
@@ -1093,7 +1086,8 @@ class Database:
         covers its syntax.  The decision object carries the compiled
         plan's operator notes for ``.explain``.
         """
-        return _decide_engine(self, self.parse(source))
+        q = self.parse(source)
+        return _decide_engine(self, q, _derive_effect(self, q))
 
     # -- sharding ----------------------------------------------------------
     def shard(self, cname: str, *, k: int = 8, by: str | None = None):

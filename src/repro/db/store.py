@@ -291,50 +291,38 @@ class Commit:
         return frozenset(out)
 
 
-def _stamp(entry) -> int:
-    return entry[0]
-
-
-def _restamp(entry, post: int):
-    return (post, *entry[1:])
-
-
 def apply_commit(
     table: dict,
     c: Commit,
     touched: Callable[[Any, Any], Any],
     *,
     fold: Callable[[Any, Any], Any] | None = None,
-    keep_on_update: Callable[[Any], Any] | None = None,
-    version: Callable[[Any], int] = _stamp,
-    restamp: Callable[[Any, int], Any] = _restamp,
 ) -> int:
     """The Theorem 5 maintenance rule, once for every derived table.
 
-    ``table`` maps keys to entries valid at store version
-    ``version(entry)`` (by default tuples led by their version).  A
-    commit that wrote nothing changes nothing.  An entry the write
-    ``touched(key, entry)`` is replaced by ``fold(key, entry)`` when an
-    ``A``-only commit can fold it forward (current entries only; a
-    ``None`` fold evicts) and evicted otherwise.  A ``U`` atom evicts
-    every other entry too — updates reach state through reference
-    chains no ``R`` set names (§5) — unless ``keep_on_update`` salvages
-    it.  Every remaining entry current at ``c.pre`` is promoted to
-    ``c.post`` by ``restamp``; stale ones stay stale.  Returns the
-    number of evictions.  Callers hold their own table lock.
+    ``table`` maps keys to tuples led by the store version they are
+    valid at.  A commit that wrote nothing changes nothing.  An entry
+    the write ``touched(key, entry)`` is replaced by ``fold(key,
+    entry)`` when an ``A``-only commit can fold it forward (current
+    entries only; a ``None`` fold evicts) and evicted otherwise.  A
+    ``U`` atom evicts every other entry too — updates reach state
+    through reference chains no ``R`` set names (§5).  Every remaining
+    entry current at ``c.pre`` is promoted to ``c.post``; stale ones
+    stay stale.  Returns the number of evictions.  Callers hold their
+    own table lock.
     """
     if not c.effect.writes():
         return 0
     updates = bool(c.effect.updates())
     evicted = 0
     for key, entry in list(table.items()):
-        current = version(entry) == c.pre
+        current = entry[0] == c.pre
         if touched(key, entry):
             kept = fold(key, entry) if fold and current and not updates else None
         elif updates:
-            kept = keep_on_update(entry) if keep_on_update else None
+            kept = None
         elif current:
-            kept = restamp(entry, c.post)
+            kept = (c.post, *entry[1:])
         else:
             continue
         if kept is None:

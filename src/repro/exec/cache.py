@@ -1,39 +1,45 @@
-"""The effect-invalidated plan (and result) cache.
+"""The plan cache and its results table.
 
-Entries are keyed by ``(query AST, schema fingerprint, definitions
-version)`` — query nodes are frozen/hashable, so the parsed query keys
-the dict directly.  Each entry carries the compiled plan, the query's
-static ``R`` set (Figure 3), and optionally the last computed result
-with the store version it was computed at.
+Plans are programs, results are data.  A compiled plan is a closure
+over the query, the schema, the definitions and the shard layout; it
+holds no store data, so no data write evicts it.  Plans are keyed by
+``(query AST, schema fingerprint, definitions version)`` — query nodes
+are frozen/hashable, so the parsed query keys the dict directly — and
+leave only when their key changes, when ``Database.shard`` clears the
+cache, when the statistics epoch drifts (the engine recompiles, see
+``engine._stats_stale``), or at capacity.
 
-Invalidation is *effect-guided*, justified by Theorem 5 (the dynamic
-trace of any run is a subeffect of the static effect):
+Each live plan may have one cached result, a version-led tuple
+``(version, value, effect, steps, shard_reads)`` in the cache's own
+results table, keyed by the :class:`PlanEntry` itself (identity hash:
+a result hit never hashes the query tree again).  The results table is
+maintained like every derived table, by
+:func:`repro.db.store.apply_commit` — justified by Theorem 5 (the
+dynamic trace of any run is a subeffect of the static effect):
 
-* a committed write with ``A(C)`` atoms evicts exactly the entries
-  whose ``R`` set touches a written class — extents are per-class, and
-  a freshly created object cannot be referenced by any pre-existing
-  attribute value, so entries whose ``R`` set is disjoint from the
-  written classes are provably unaffected and are *promoted* to the
-  post-write store version instead;
-* a committed write with ``U(C)`` atoms additionally drops every cached
-  **result** (plans survive outside ``R ∩ {C}``): attribute reads carry
-  no effect atom, so a query whose ``R`` set avoids ``C`` can still
-  observe an update through a chain of object references — e.g.
-  ``{ e.UniqueManager.name | e <- Employees }`` has effect
+* a committed write with ``A(C)`` atoms drops exactly the results whose
+  plan's ``R`` set touches a written class — extents are per-class,
+  and a freshly created object cannot be referenced by any
+  pre-existing attribute value, so results whose ``R`` set is disjoint
+  from the written classes are provably unaffected and are *promoted*
+  to the post-write store version instead;
+* a committed write with ``U(C)`` atoms drops every result: attribute
+  reads carry no effect atom, so a query whose ``R`` set avoids ``C``
+  can still observe an update through a chain of object references —
+  e.g. ``{ e.UniqueManager.name | e <- Employees }`` has effect
   ``{R(Employee)}`` but reads Manager state;
 * any state change the database cannot attribute to a known effect
-  (snapshot restore, persistence load, transaction rollback) simply
-  bumps the store version, which lazily invalidates every cached
-  result — the safe default.
+  (snapshot restore, persistence load, transaction rollback, a
+  replica's applied record) simply bumps the store version, which
+  lazily invalidates every cached result — the safe default.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.db.store import Commit, apply_commit
-from repro.effects.algebra import Effect
 from repro.exec.compiler import CompiledPlan
 from repro.lang.ast import Query
 from repro.obs import flight as _flight
@@ -57,55 +63,45 @@ def schema_fingerprint(schema) -> tuple:
     ) + tuple(sorted(schema.extents.items()))
 
 
-@dataclass
+@dataclass(eq=False)
 class PlanEntry:
-    """One cached compilation (or cached refusal) plus its last result."""
+    """One cached compilation, or a cached refusal.
+
+    Compared and hashed by identity: the entry keys its own result in
+    :class:`PlanCache`'s results table.
+    """
 
     plan: CompiledPlan | None
     reads: frozenset[str]
-    static_effect: Effect
     reason: str = ""
     # the statistics epoch the plan was costed against; the engine
     # treats a mismatch with the live catalog as a cache miss, so a
     # generator order chosen against a materially different catalog
     # (e.g. an extent grown 0 -> 10k) is re-costed instead of surviving
-    # shard-disjoint promotions forever
+    # every data write forever
     stats_epoch: int = -1
-    result: Query | None = field(default=None, repr=False)
-    result_effect: Effect | None = field(default=None, repr=False)
-    result_steps: int = 0
-    result_version: int = -1
-    # the dynamic shard trace of the cached result's execution:
-    # class -> frozenset of shard ids read, or None for all shards.
-    # A class the execution read but that is missing here must be
-    # treated as all-shards (conservative).
-    result_shard_reads: dict | None = field(default=None, repr=False)
-
-
-def _drop_result(entry: PlanEntry) -> PlanEntry:
-    entry.result = None
-    entry.result_effect = None
-    entry.result_version = -1
-    return entry
-
-
-def _restamp_result(entry: PlanEntry, post: int) -> PlanEntry:
-    entry.result_version = post
-    return entry
 
 
 class PlanCache:
-    """Per-database cache of compiled plans, bounded, effect-evicted.
+    """Per-database cache of compiled plans and their last results.
 
     All access is serialised on an internal lock: concurrent scheduled
     readers (``Database.run_many``) share one cache, and eviction
     bookkeeping must stay consistent under that interleaving.
+    ``evictions`` counts plans that left (capacity and
+    :meth:`clear`); results a commit drops are flight-recorded as
+    ``cache-evict`` events.
     """
 
     def __init__(self, fingerprint: tuple, max_entries: int = 256):
         self.fingerprint = fingerprint
         self.max_entries = max_entries
         self._entries: dict[tuple, PlanEntry] = {}
+        # live entry -> (version, value, effect, steps, shard_reads);
+        # shard_reads is the dynamic shard trace of the run that
+        # computed the value: class -> frozenset of shard ids read, or
+        # None for all shards (a class missing from it counts as all)
+        self._results: dict[PlanEntry, tuple] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -130,77 +126,85 @@ class PlanCache:
     def put(self, q: Query, defs_version: int, entry: PlanEntry) -> None:
         key = self._key(q, defs_version)
         with self._lock:
-            # a re-put overwrites in place and is size-neutral; only a
-            # genuinely new key at capacity pays an eviction
-            if key not in self._entries and len(self._entries) >= self.max_entries:
+            old = self._entries.get(key)
+            if old is not None:
+                # a re-put replaces in place and is size-neutral
+                self._results.pop(old, None)
+            elif len(self._entries) >= self.max_entries:
                 # drop the oldest insertion: plans recompile cheaply
-                self._entries.pop(next(iter(self._entries)))
+                oldest = self._entries.pop(next(iter(self._entries)))
+                self._results.pop(oldest, None)
                 self.evictions += 1
             self._entries[key] = entry
+
+    def result(self, entry: PlanEntry, version: int) -> tuple | None:
+        """``entry``'s cached result if it is valid at ``version``."""
+        with self._lock:
+            hit = self._results.get(entry)
+        return hit if hit is not None and hit[0] == version else None
+
+    def keep_result(
+        self, q: Query, defs_version: int, entry: PlanEntry, result: tuple
+    ) -> None:
+        """Cache ``result`` (version-led) while ``entry`` is still live.
+
+        An entry that left the cache meanwhile (capacity, a re-put,
+        :meth:`clear`) keeps nothing: its result could never be looked
+        up, and no eviction would reclaim it.
+        """
+        with self._lock:
+            if self._entries.get(self._key(q, defs_version)) is entry:
+                self._results[entry] = result
 
     def note_write(self, c: Commit) -> None:
         """A write with effect ``c.effect`` moved version pre → post.
 
-        Evicts entries whose ``R`` set intersects the written classes
-        (Theorem 5 guarantees nothing else read them); promotes the
-        surviving entries' cached results to the new version, except
-        under ``U`` atoms, where results are dropped wholesale but
-        plans survive (see the module docstring for the
-        reference-chasing caveat).
+        Plans stay.  Results whose plan's ``R`` set meets the written
+        classes are dropped (Theorem 5 guarantees nothing else read
+        them), and under ``U`` atoms every result is (see the module
+        docstring for the reference-chasing caveat); the rest are
+        promoted to the new version.
 
         ``c.shard_writes`` (class → frozenset of shard ids, exact and
-        dynamic, sharded classes only) refines ``A``-only eviction to
-        ``(class, shard)``: an entry whose recorded result read only
-        shards disjoint from every written shard keeps both its plan
-        and its result — an object added to shard *i* carries a shard
-        attribute hashing to *i*, so it could never have survived the
-        equality predicate that confined the cached run to shard *j*.
+        dynamic, sharded classes only) refines the test to ``(class,
+        shard)``: a result whose run read only shards disjoint from
+        every written shard survives — an object added to shard *i*
+        carries a shard attribute hashing to *i*, so it could never
+        have survived the equality predicate that confined the cached
+        run to shard *j*.
         """
         written = c.effect.writes()
-        updates = c.effect.updates()
 
-        def touched(_, entry: PlanEntry) -> bool:
+        def touched(entry: PlanEntry, result: tuple) -> bool:
             hit = entry.reads & written
-            return bool(hit) and (
-                bool(updates)
-                or not self._shard_disjoint(entry, hit, c.shard_writes)
+            return bool(hit) and not _shard_disjoint(
+                result[4], hit, c.shard_writes
             )
 
         with self._lock:
-            evicted = apply_commit(
-                self._entries, c, touched,
-                keep_on_update=_drop_result,
-                version=lambda entry: entry.result_version,
-                restamp=_restamp_result,
-            )
-            self.evictions += evicted
-        if evicted:
+            dropped = apply_commit(self._results, c, touched)
+        if dropped:
             _flight.record(
                 "cache-evict",
-                evicted=evicted,
+                results=dropped,
                 written=",".join(sorted(written)),
                 version=c.post,
             )
-
-    @staticmethod
-    def _shard_disjoint(entry: PlanEntry, hit, shard_writes) -> bool:
-        """Every overlapping class read provably disjoint shards?"""
-        reads = entry.result_shard_reads
-        if reads is None or shard_writes is None:
-            return False
-        for cname in hit:
-            wrote = shard_writes.get(cname)
-            read = reads.get(cname)
-            if wrote is None or read is None or (wrote & read):
-                return False
-        return True
 
     def clear(self) -> None:
         with self._lock:
             self.evictions += len(self._entries)
             self._entries.clear()
+            self._results.clear()
 
-    def cached_queries(self) -> list[Query]:
-        """The queries with a live entry (test/introspection helper)."""
-        with self._lock:
-            return [key[0] for key in self._entries]
+
+def _shard_disjoint(reads: dict | None, hit, shard_writes) -> bool:
+    """Every overlapping class read provably disjoint shards?"""
+    if reads is None or shard_writes is None:
+        return False
+    for cname in hit:
+        wrote = shard_writes.get(cname)
+        read = reads.get(cname)
+        if wrote is None or read is None or (wrote & read):
+            return False
+    return True

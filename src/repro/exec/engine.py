@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.effects.algebra import Effect
+from repro.effects.checker import EffectChecker
+from repro.errors import ReproError
 from repro.exec.cache import PlanEntry
 from repro.exec.compiler import CompiledPlan, NotCompilable, compile_plan
 from repro.exec.runtime import ExecContext, ReplanGuard, ReplanSignal
@@ -32,34 +34,33 @@ class PlanDecision:
     engine: str  # "compiled" | "reduction"
     reason: str
     entry: PlanEntry | None = None
-    static_effect: Effect | None = None
 
     @property
     def plan(self) -> CompiledPlan | None:
         return self.entry.plan if self.entry is not None else None
 
 
-def decide(db, q: Query, eff: Effect | None = None) -> PlanDecision:
+def derive_effect(db, q: Query) -> Effect | ReproError:
+    """``q``'s Figure 3 effect, or the error its derivation raised."""
+    try:
+        return EffectChecker().check_traced(db.type_context(), q)[1]
+    except ReproError as exc:
+        return exc
+
+
+def decide(db, q: Query, eff: Effect | ReproError) -> PlanDecision:
     """The compile/fallback decision for one parsed query.
 
-    ``eff`` is ``q``'s Figure 3 effect when the caller has derived it
-    already; otherwise it is derived here.
+    ``eff`` is ``q``'s Figure 3 effect (:func:`derive_effect`); the
+    caller derives it once and this only reads it.
     """
-    from repro.errors import ReproError
-
-    if eff is None:
-        try:
-            _, eff = db.typecheck_with_effect(q)
-        except ReproError as exc:
-            return PlanDecision(
-                "reduction", f"static analysis failed ({exc})"
-            )
+    if isinstance(eff, ReproError):
+        return PlanDecision("reduction", f"static analysis failed ({eff})")
     if eff.writes():
         written = ", ".join(sorted(eff.writes()))
         return PlanDecision(
             "reduction",
             f"write effects on {{{written}}} — Theorem 4 does not apply",
-            static_effect=eff,
         )
     entry = db._plan_cache.get(q, db._defs_version)
     if entry is not None and _stats_stale(db, entry):
@@ -71,14 +72,11 @@ def decide(db, q: Query, eff: Effect | None = None) -> PlanDecision:
         entry = _compile_entry(db, q, eff)
         db._plan_cache.put(q, db._defs_version, entry)
     if entry.plan is None:
-        return PlanDecision(
-            "reduction", entry.reason, entry=entry, static_effect=eff
-        )
+        return PlanDecision("reduction", entry.reason, entry=entry)
     return PlanDecision(
         "compiled",
         "read-only (empty write effect) — deterministic by Theorem 4",
         entry=entry,
-        static_effect=eff,
     )
 
 
@@ -131,29 +129,26 @@ def _compile_entry(db, q: Query, eff: Effect) -> PlanEntry:
     return PlanEntry(
         plan=plan,
         reads=eff.reads(),
-        static_effect=eff,
         reason=reason,
         stats_epoch=model.stats_epoch,
     )
 
 
-def route_read(db, q: Query, decision: PlanDecision, **run_kw):
+def route_read(db, q: Query, eff: Effect | ReproError, **run_kw):
     """The replication routing hook behind ``Database.run(engine="auto")``.
 
-    A query whose Figure 3 effect has an **empty write set** is exactly
-    one Theorem 4 makes schedule-invariant — so it may be answered by
-    any replica whose per-extent watermarks cover its R-set (plus the
-    star mark that tracks ``U``/``define`` commits, per the §5
+    A query whose Figure 3 effect ``eff`` has an **empty write set** is
+    exactly one Theorem 4 makes schedule-invariant — so it may be
+    answered by any replica whose per-extent watermarks cover its R-set
+    (plus the star mark that tracks ``U``/``define`` commits, per the §5
     reference-chasing caveat) without the answer being distinguishable
-    from the primary's.  Returns the replica's :class:`EvalResult`, or
-    ``None`` when no replica qualifies (the caller degrades to the
-    primary: counted, never wrong).
+    from the primary's.  The replica plans the read itself; the primary
+    plans only what it serves.  Returns the replica's
+    :class:`EvalResult`, or ``None`` when no replica qualifies (the
+    caller degrades to the primary: counted, never wrong).
     """
     replicas = getattr(db, "_replicas", None)
-    if replicas is None:
-        return None
-    eff = decision.static_effect
-    if eff is None or eff.writes():
+    if replicas is None or isinstance(eff, ReproError) or eff.writes():
         return None
     return replicas.try_serve(q, eff, **run_kw)
 
@@ -308,7 +303,7 @@ def explain(
     from repro.obs.profile import ProfileRun, QueryProfile, build_nodes
 
     q = db.parse(source)
-    decision = decide(db, q)
+    decision = decide(db, q, derive_effect(db, q))
     model, optimized, plan, _ = _plan(db, q, profile=True)
     if decision.engine != "compiled":
         plan = None

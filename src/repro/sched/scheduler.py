@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.effects.algebra import EMPTY, Effect
+from repro.effects.checker import EffectChecker
 from repro.errors import ReproError
 from repro.lang.ast import Query
 from repro.obs import flight as _flight
@@ -302,7 +303,9 @@ class QueryScheduler:
             try:
                 maybe_fault("sched.admit")
                 adm.query = self.db.parse(src)
-                _, adm.effect = self.db.typecheck_with_effect(adm.query)
+                _, adm.effect = EffectChecker().check_traced(
+                    self.db.type_context(), adm.query
+                )
             except BaseException as exc:  # noqa: BLE001 - recorded, not lost
                 adm.error = exc
             if adm.ok:

@@ -181,8 +181,11 @@ class TestFrontEnd:
             ("{ e.name | e <- Employees }", {}, True),  # plan-cache hit
             (NEW, {}, False),
             (NEW, {"atomic": True}, False),
+            ("{ e.name | e <- Employees }", {"typecheck": False}, False),
+            (NEW, {"typecheck": False, "atomic": True}, False),
         ],
-        ids=["read-miss", "read-hit", "new", "atomic"],
+        ids=["read-miss", "read-hit", "new", "atomic", "untyped-read",
+             "untyped-atomic"],
     )
     def test_run_derives_once(self, hr_db, derivations, src, kw, warm):
         if warm:

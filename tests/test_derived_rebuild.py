@@ -1,7 +1,7 @@
 """Every derived structure equals a from-scratch rebuild after every commit.
 
-The database keeps four structures derived from EE/OE — the plan/result
-cache, the attribute indexes, the closure (interval) indexes and the
+The database keeps four tables derived from EE/OE — the plan cache's
+results, the attribute indexes, the closure (interval) indexes and the
 column statistics — plus the shard partitions, and maintains all of
 them across commits by one Theorem 5 rule
 (:func:`repro.db.store.apply_commit`): evict what a write touched, fold
@@ -9,10 +9,14 @@ an ``A``-only commit's adds forward where possible, promote the rest.
 A promotion is a claim that the entry is still exact at the new store
 version.  This suite checks every such claim: it replays the existing
 scheduler, shard, WAL and traverse differential corpora (their own
-generators and seeds) with a hook after each commit's maintenance that
-rebuilds every entry stamped with the new version and compares.  The
-oid-type memo (the oid part of Q, which every typing context reads by
-reference) is compared with Q rebuilt from OE after every commit too.
+generators and seeds), plus a seeded corpus of §5 ``U`` commits whose
+updates reach state through reference chains, with a hook after each
+commit's maintenance that rebuilds every entry stamped with the new
+version and compares.  Compiled plans survive every data write, so the
+hook also runs every live plan in the production context and compares
+it with big-step.  The oid-type memo (the oid part of Q, which every
+typing context reads by reference) is compared with Q rebuilt from OE
+after every commit too.
 """
 
 from __future__ import annotations
@@ -21,9 +25,13 @@ import random
 
 import pytest
 
+from repro.db.database import Database
 from repro.db.statistics import ColumnStats
 from repro.db.store import build_closure_index
+from repro.exec.engine import execute_plan
 from repro.exec.runtime import build_attr_index
+from repro.lang.ast import IntLit, MethodCall, OidRef
+from repro.methods.ast import AccessMode
 from repro.model.types import ClassType
 from repro.semantics.bigstep import evaluate_bigstep
 from repro.semantics.bijection import values_equivalent
@@ -39,8 +47,8 @@ from tests.test_wal_differential import _twins as wal_twins
 from tests.traverse_helpers import graph_db
 
 KINDS = (
-    "results", "attr_indexes", "shard_parts", "closure_indexes", "stats",
-    "oid_types",
+    "results", "plans", "attr_indexes", "shard_parts", "closure_indexes",
+    "stats", "oid_types",
 )
 
 
@@ -48,25 +56,43 @@ def _as_sets(idx: dict) -> dict:
     return {value: frozenset(refs) for value, refs in idx.items()}
 
 
+def _same(value, db, big) -> bool:
+    # read-only: both sides name the same objects, so canonical values
+    # are equal; ∼ is the fallback for non-canonical forms
+    return value == big.value or values_equivalent(
+        value, db.oe, big.value, big.oe
+    )
+
+
 def check_results(db, counts) -> None:
+    """Every current cached result, and every surviving plan run in the
+    production context, equals big-step at the new version."""
     version = db._state_version
     cache = db._plan_cache
     with cache._lock:
         entries = list(cache._entries.items())
-    for (q, _, defs_version), entry in entries:
-        if (
-            entry.result is None
-            or entry.result_version != version
-            or defs_version != db._defs_version
-        ):
-            continue
-        big = evaluate_bigstep(db.machine, db.ee, db.oe, q)
-        # read-only: both sides name the same objects, so canonical
-        # values are equal; ∼ is the fallback for non-canonical forms
-        assert entry.result == big.value or values_equivalent(
-            entry.result, db.oe, big.value, big.oe
-        ), f"cached result of {q} is stale at version {version}"
-        counts["results"] += 1
+        results = dict(cache._results)
+    # a replan would rewrite the plan under test
+    ratio, db.replan_ratio = db.replan_ratio, None
+    try:
+        for (q, _, defs_version), entry in entries:
+            if defs_version != db._defs_version:
+                continue
+            big = evaluate_bigstep(db.machine, db.ee, db.oe, q)
+            result = results.get(entry)
+            if result is not None and result[0] == version:
+                assert _same(result[1], db, big), (
+                    f"cached result of {q} is stale at version {version}"
+                )
+                counts["results"] += 1
+            if entry.plan is not None:
+                value, _, _ = execute_plan(db, entry)
+                assert _same(value, db, big), (
+                    f"plan of {q} is wrong at version {version}"
+                )
+                counts["plans"] += 1
+    finally:
+        db.replan_ratio = ratio
 
 
 def check_attr_indexes(db, counts) -> None:
@@ -263,6 +289,61 @@ def test_traverse_corpus(shape, sharded, counts):
         ],
         workers=4,
     )
+
+
+#: A §5 schema whose updates reach state through a reference chain.
+BANK_ODL = """
+class Account extends Object (extent Accounts) {
+    attribute int balance;
+    int deposit(int amount) effect U(Account) {
+        this.balance := this.balance + amount;
+        return this.balance;
+    }
+}
+class Owner extends Object (extent Owners) {
+    attribute string name;
+    attribute Account acct;
+}
+"""
+
+BANK_READS = (
+    # effect {R(Owner)}: it reads Account balances, yet no U(Account)
+    # atom meets its R set
+    "{ o.acct.balance | o <- Owners }",
+    "{ struct(n: o.name, b: o.acct.balance) | o <- Owners, "
+    "o.acct.balance > 20 }",
+    "{ a.balance | a <- Accounts, a.balance > 15 }",
+    "size(Owners)",
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_update_corpus(seed, counts):
+    rng = random.Random(93_000 + seed)
+    db = Database.from_odl(BANK_ODL, method_mode=AccessMode.EFFECTFUL)
+    for i in range(3):
+        acct = db.insert("Account", balance=rng.randrange(30))
+        db.insert("Owner", name=f"o{i}", acct=acct)
+    db.analyze()
+    watch(db, counts)
+    for step in range(16):
+        for src in rng.sample(BANK_READS, 3):
+            db.run(src)
+        roll = rng.random()
+        if roll < 0.5:
+            oid = rng.choice(sorted(db.extent("Accounts")))
+            amount = IntLit(rng.randrange(1, 9))
+            db.run(MethodCall(OidRef(oid), "deposit", (amount,)))
+        elif roll < 0.7:
+            db.run(
+                f"{{ a.deposit(2) | a <- Accounts, "
+                f"a.balance < {rng.randrange(40)} }}"
+            )
+        elif roll < 0.85:
+            db.run(f"new Account(balance: {rng.randrange(30)})")
+        else:
+            acct = db.insert("Account", balance=rng.randrange(30))
+            db.insert("Owner", name=f"n{step}", acct=acct)
 
 
 def test_every_kind_was_compared(counts):

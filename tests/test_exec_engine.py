@@ -14,6 +14,7 @@ from repro.db.store import Commit
 from repro.effects.algebra import Effect, add, update
 from repro.errors import TransientFault
 from repro.exec.cache import PlanCache, PlanEntry, schema_fingerprint
+from repro.methods.ast import AccessMode
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 
@@ -94,7 +95,7 @@ class TestResultCache:
         q = "{ p.name | p <- Persons }"
         first = db.run(q)
         dec = db.plan_decision(q)
-        assert dec.entry.result is not None
+        assert db._plan_cache.result(dec.entry, db._state_version)
         # poison the plan: a re-execution would now blow up
         object.__setattr__(dec.entry.plan, "fn", None)
         second = db.run(q)
@@ -102,18 +103,17 @@ class TestResultCache:
         assert second.steps == first.steps
 
     def test_add_write_evicts_only_touched_entries(self, db):
+        # the touched entries are results; both plans stay
         db.run("{ p.name | p <- Persons }")
         db.run("{ x.species | x <- Pets }")
-        person_q = db.parse("{ p.name | p <- Persons }")
-        pet_q = db.parse("{ x.species | x <- Pets }")
-        assert person_q in db._plan_cache.cached_queries()
+        person = db.plan_decision("{ p.name | p <- Persons }").entry
+        pet = db.plan_decision("{ x.species | x <- Pets }").entry
         db.insert("Person", name="Cyd", age=3)
-        cached = db._plan_cache.cached_queries()
-        assert person_q not in cached  # R(Person) ∩ A(Person) ≠ ∅
-        assert pet_q in cached  # disjoint: provably unaffected
-        # the surviving entry's result was promoted across the write
-        pet_entry = db._plan_cache.get(pet_q, db._defs_version)
-        assert pet_entry.result_version == db._state_version
+        cache, version = db._plan_cache, db._state_version
+        assert len(cache) == 2
+        assert cache.result(person, version) is None  # R ∩ A(Person) ≠ ∅
+        # disjoint: provably unaffected, promoted across the write
+        assert cache.result(pet, version) is not None
 
     def test_evicted_query_recomputes_fresh_answer(self, db):
         q = "{ p.name | p <- Persons }"
@@ -122,13 +122,22 @@ class TestResultCache:
         assert db.run(q).python() == frozenset({"Ada", "Bob", "Cyd"})
 
     def test_query_write_evicts_like_insert(self, db):
-        db.run("{ p.age | p <- Persons }")
-        person_q = db.parse("{ p.age | p <- Persons }")
+        q = "{ p.age | p <- Persons }"
+        db.run(q)
+        entry = db.plan_decision(q).entry
         db.run('new Person(name: "Eve", age: 9)')  # commits A(Person)
-        assert person_q not in db._plan_cache.cached_queries()
-        assert db.run("{ p.age | p <- Persons }").python() == frozenset(
-            {36, 17, 9}
-        )
+        assert db.plan_decision(q).entry is entry  # the plan stays
+        assert db._plan_cache.result(entry, db._state_version) is None
+        assert db.run(q).python() == frozenset({36, 17, 9})
+
+    def test_add_write_keeps_plan_and_answers_fresh(self, db):
+        q = "{ p.name | p <- Persons }"
+        db.run(q)
+        misses = db._plan_cache.misses
+        db.run('new Person(name: "Eve", age: 9)')  # commits A(Person)
+        assert db.run(q).python() == frozenset({"Ada", "Bob", "Eve"})
+        assert db._plan_cache.misses == misses  # no re-plan
+        assert db.health()["plan_cache"]["evictions"] == 0
 
     def test_restore_invalidates_cached_results(self, db):
         snap = db.snapshot()
@@ -160,20 +169,75 @@ class TestResultCache:
         assert db.run("size(kids())").python() == 1
 
 
+ACCOUNT_ODL = """
+class Account extends Object (extent Accounts) {
+    attribute int balance;
+    int deposit(int amount) effect U(Account) {
+        this.balance := this.balance + amount;
+        return this.balance;
+    }
+}
+class Owner extends Object (extent Owners) {
+    attribute Account acct;
+}
+"""
+
+
+class TestPlansArePrograms:
+    """No data write evicts a plan; a commit maintains results only."""
+
+    @pytest.fixture
+    def bank(self) -> Database:
+        d = Database.from_odl(ACCOUNT_ODL, method_mode=AccessMode.EFFECTFUL)
+        acct = d.insert("Account", balance=10)
+        d.insert("Owner", acct=acct)
+        return d
+
+    def test_update_commit_keeps_plans_and_drops_every_result(self, bank):
+        texts = ("{ o.acct.balance | o <- Owners }", "size(Accounts)")
+        for text in texts:
+            bank.run(text)
+        entries = [bank.plan_decision(t).entry for t in texts]
+        misses = bank._plan_cache.misses
+        bank.run("{ a.deposit(5) | a <- Accounts }")  # commits U(Account)
+        cache, version = bank._plan_cache, bank._state_version
+        assert [bank.plan_decision(t).entry for t in texts] == entries
+        assert all(cache.result(e, version) is None for e in entries)
+        # {R(Owner)} misses U(Account), yet the answer moved: only
+        # dropping every result keeps it fresh
+        assert bank.run(texts[0]).python() == frozenset({15})
+        assert cache.misses == misses
+        assert cache.evictions == 0
+
+    def test_routed_read_is_planned_only_on_the_replica(self, db, tmp_path):
+        db.attach_wal(str(tmp_path / "wal"), sync=False)
+        rset = db.replicate(1, auto_poll=True)
+        db.insert("Person", name="Cyd", age=40)
+        q = "{ p.name | p <- Persons, p.age > 18 }"
+        cache = db._plan_cache
+        lookups = cache.hits + cache.misses
+        routed = rset.routed_total
+        got = db.run(q)
+        assert rset.routed_total == routed + 1
+        assert cache.hits + cache.misses == lookups
+        assert got.python() == db.run(q, engine="bigstep").python()
+        db.close()
+
+
 class TestNoteWriteUnit:
-    """note_write semantics pinned at the unit level (Theorem 5 rules)."""
+    """note_write semantics pinned at the unit level (Theorem 5 rules).
+
+    The results table is what a commit maintains; the plan always
+    stays.
+    """
 
     def _cache_with(self, reads: frozenset, version: int) -> tuple:
         db = Database.from_odl(ODL)
         cache = PlanCache(schema_fingerprint(db.schema))
-        entry = PlanEntry(
-            plan=None,
-            reads=reads,
-            static_effect=Effect.of(),
-            result=db.parse("1"),
-            result_version=version,
-        )
-        cache.put(db.parse("1"), 0, entry)
+        entry = PlanEntry(plan=None, reads=reads)
+        q = db.parse("1")
+        cache.put(q, 0, entry)
+        cache.keep_result(q, 0, entry, (version, q, Effect.of(), 0, None))
         return cache, entry, db
 
     @staticmethod
@@ -181,15 +245,18 @@ class TestNoteWriteUnit:
         return Commit(effect, 5, 6, db.schema, db.ee, db.oe)
 
     def test_add_atom_evicts_intersecting_reader(self):
-        cache, _, db = self._cache_with(frozenset({"Person"}), 5)
+        cache, entry, db = self._cache_with(frozenset({"Person"}), 5)
         cache.note_write(self._commit(db, Effect.of(add("Person"))))
-        assert len(cache) == 0
+        assert len(cache) == 1  # the plan survives
+        assert cache.result(entry, 5) is None  # the result does not
+        assert cache.result(entry, 6) is None
+        assert cache.evictions == 0
 
     def test_add_atom_promotes_disjoint_reader(self):
         cache, entry, db = self._cache_with(frozenset({"Pet"}), 5)
         cache.note_write(self._commit(db, Effect.of(add("Person"))))
         assert len(cache) == 1
-        assert entry.result_version == 6
+        assert cache.result(entry, 6)[0] == 6
 
     def test_update_atom_drops_all_results(self):
         # attribute reads carry no effect atom, so a disjoint R set does
@@ -197,14 +264,14 @@ class TestNoteWriteUnit:
         cache, entry, db = self._cache_with(frozenset({"Pet"}), 5)
         cache.note_write(self._commit(db, Effect.of(update("Person"))))
         assert len(cache) == 1  # the plan survives
-        assert entry.result is None  # the result does not
-        assert entry.result_version == -1
+        assert cache.result(entry, 5) is None  # the result does not
+        assert cache.result(entry, 6) is None
 
     def test_read_only_effect_is_a_noop(self):
         cache, entry, db = self._cache_with(frozenset({"Person"}), 5)
         cache.note_write(self._commit(db, Effect.of()))
         assert len(cache) == 1
-        assert entry.result_version == 5
+        assert cache.result(entry, 5)[0] == 5
 
 
 class TestCapacityEviction:
@@ -218,13 +285,7 @@ class TestCapacityEviction:
     """
 
     def _entry(self, db: Database) -> PlanEntry:
-        return PlanEntry(
-            plan=None,
-            reads=frozenset(),
-            static_effect=Effect.of(),
-            result=None,
-            result_version=-1,
-        )
+        return PlanEntry(plan=None, reads=frozenset())
 
     def test_new_key_at_capacity_evicts_oldest(self):
         db = Database.from_odl(ODL)

@@ -2,7 +2,7 @@
 
 Certifies the compiled engine's sharded paths against the unsharded
 engine (scan pruning, pruned index probes, forced pool fan-out), the
-per-``(class, shard)`` refinement of plan/result-cache invalidation,
+per-``(class, shard)`` refinement of result-cache invalidation,
 the scheduler's ``shard_conflicts`` rule, the explain tree's shard
 access labels, and the operator surfaces (``health()["sharding"]``,
 ``shard_*`` gauges, ``.shard``/``.shards``/``.explain cost``).
@@ -103,26 +103,27 @@ class TestShardedEquivalence:
         assert sharded.run(src).value.items  # next run is fine
 
 
+def _shard_reads(db: Database, src: str):
+    """The shard trace stored with ``src``'s cached result."""
+    entry = db.plan_decision(src).entry
+    result = db._plan_cache.result(entry, db._state_version)
+    assert result is not None
+    return result[4]
+
+
 class TestPruning:
     def test_confined_query_records_single_shard_dynamic_read(self):
         sharded, _ = make_pair()
         src = '{ p.name | p <- Persons, p.region = "r1" }'
         sharded.run(src)
-        entry = sharded._plan_cache.get(
-            sharded.parse(src), sharded._defs_version
-        )
-        assert entry is not None
-        confined = entry.result_shard_reads["Person"]
+        confined = _shard_reads(sharded, src)["Person"]
         assert confined == frozenset({shard_of(StrLit("r1"), K)})
 
     def test_unconfined_query_records_whole_class_read(self):
         sharded, _ = make_pair()
         src = "{ p.name | p <- Persons, p.age > 3 }"
         sharded.run(src)
-        entry = sharded._plan_cache.get(
-            sharded.parse(src), sharded._defs_version
-        )
-        reads = (entry.result_shard_reads or {}).get("Person")
+        reads = (_shard_reads(sharded, src) or {}).get("Person")
         assert reads is None  # None = all shards
 
     def test_plan_notes_mention_pruning(self):
