@@ -94,7 +94,9 @@ def main() -> None:
                 raise AssertionError("primary made no visible progress")
             replica.poll()
             # reads keep working while the primary is mid-burst...
-            assert replica.serve("size(Persons)").python() is not None
+            assert replica.db.run(
+                "size(Persons)", commit=False
+            ).python() is not None
             reads += 1
 
         # -- kill -9, mid-burst: no flush, no goodbye ---------------------
@@ -104,7 +106,7 @@ def main() -> None:
 
         # ...and keep working after it is dead
         replica.poll()
-        n_before = replica.serve("size(Persons)").python()
+        n_before = replica.db.run("size(Persons)", commit=False).python()
         assert replica.state != QUARANTINED
 
         # byte-copy the estate *before* promotion touches it: the copy is

@@ -67,7 +67,6 @@ from repro.exec.cache import PlanCache, schema_fingerprint
 from repro.exec.engine import (
     PlanDecision,
     decide as _decide_engine,
-    derive_effect as _derive_effect,
     execute_plan,
     explain as _explain,
     route_read as _route_read,
@@ -160,9 +159,10 @@ class Database:
         # the last WAL LSN whose record touched each class (or shard)
         # — plus a star mark "*" for records any query may observe
         # through reference chains (full/define records, the §5
-        # caveat).  A replica covers a query's R-set iff its own marks
-        # reach these.  Updated under _commit_lock right after the
-        # append that assigned the LSN.
+        # caveat).  A replica covers a query iff its own marks reach
+        # these on the query's R-set and oid-literal classes.  Updated
+        # under _commit_lock right after the append that assigned the
+        # LSN.
         self._write_marks: dict[str, int] = {}
         self._replicas = None  # ReplicaSet | None
         # a fenced primary lost a failover: it must never commit again
@@ -369,7 +369,8 @@ class Database:
     def write_marks(self) -> dict[str, int]:
         """Snapshot of the freshness requirement: class → LSN, ``"*"`` →
         the star mark.  A replica may serve a query iff its own marks
-        reach these for every class in the query's R-set (and the star)."""
+        reach these for every class in the query's R-set or of an oid
+        literal it names (and the star)."""
         with self._commit_lock:
             marks = dict(self._write_marks)
             marks.setdefault("*", 0)
@@ -702,6 +703,22 @@ class Database:
             return resolve_extents(source, frozenset(self.schema.extents))
         return parse_query(source, schema=self.schema)
 
+    def _derive(self, source: str | Query) -> tuple[Query, Effect]:
+        """The front end: the resolved query and its effect ε, from one
+        Figure 3 derivation ``q : σ ! ε`` made before any evaluation (σ
+        is the Figure 1 type).  On a rejection Figure 1 re-checks only
+        so that the error keeps its wording."""
+        q = self.parse(source)
+        with _span("typecheck"):
+            if _OBS.enabled:
+                _METRICS.counter("typecheck_total").inc()
+            ctx = self.type_context()
+            try:
+                return q, EffectChecker().check_traced(ctx, q)[1]
+            except ReproError:
+                check_query(ctx, q)
+                raise
+
     # -- static analysis -----------------------------------------------------
     def typecheck(self, source: str | Query) -> Type:
         """Figure 1: the type of the query, or :class:`IOQLTypeError`."""
@@ -770,7 +787,6 @@ class Database:
         strategy: Strategy = FIRST,
         max_steps: int = DEFAULT_MAX_STEPS,
         commit: bool = True,
-        typecheck: bool = True,
         engine: str = "auto",
         budget: Budget | None = None,
         atomic: bool = False,
@@ -778,12 +794,11 @@ class Database:
     ) -> EvalResult:
         """Evaluate a query under one strategy; optionally commit EE/OE.
 
-        Every call makes one Figure 3 derivation: it gives the Figure 1
-        type and the effect that routes the read, picks the engine and
-        bounds an ``atomic`` scope.  ``typecheck=True`` (default) raises
-        when the query is ill-typed, so evaluation enjoys Theorem 3 and
-        can never get stuck; ``typecheck=False`` lets an ill-typed query
-        run on the machine.  ``engine`` selects
+        Every call makes one Figure 3 derivation (:meth:`_derive`): it
+        raises when the query is ill-typed, so evaluation enjoys Theorem
+        3 and can never get stuck, and its effect routes the read, picks
+        the engine and bounds an ``atomic`` scope.  A replica serving
+        the read derives nothing again.  ``engine`` selects
         the presentation: ``"auto"`` (default) routes the query through
         the compiled set-at-a-time engine when the Figure 3 effect
         system proves it read-only (Theorem 4 then guarantees the
@@ -815,81 +830,78 @@ class Database:
           wrapped in :class:`~repro.resilience.retry.RetryExhausted`
           when attempts run out).
         """
-        self._check_fenced()
         with _span("query", engine=engine):
-            q = self.parse(source)
-            with _span("typecheck"):
-                if _OBS.enabled:
-                    _METRICS.counter("typecheck_total").inc()
-                eff = _derive_effect(self, q)
-                if isinstance(eff, ReproError):
-                    if typecheck:
-                        # Figure 1 re-checks only so that the error keeps
-                        # its wording; if it accepts, decide falls back
-                        check_query(self.type_context(), q)
-                    if atomic:
-                        raise eff  # no effect bounds the rollback scope
-            scope = TransactionScope.capture(self, eff) if atomic else None
-            attempt = 0
-            while True:
-                attempt += 1
-                attempt_budget = (
-                    budget if attempt == 1 or budget is None else budget.fresh()
-                )
-                try:
-                    return self._run_once(
-                        q,
-                        strategy=strategy,
-                        max_steps=max_steps,
-                        commit=commit,
-                        engine=engine,
-                        budget=attempt_budget,
-                        eff=eff,
-                    )
-                except Exception as exc:
-                    if scope is not None:
-                        scope.rollback(self)
-                    if retry is None or not retry.retryable(exc):
-                        self._note_failure(exc)
-                        raise
-                    if attempt >= retry.max_attempts:
-                        if _OBS.enabled:
-                            _METRICS.counter("retries_exhausted_total").inc()
-                        self._note_failure(exc, reason="retry-exhausted")
-                        raise RetryExhausted(attempt, exc) from exc
-                    decision = replay_decision(self, q, rolled_back=atomic)
-                    if not decision.safe:
-                        if _OBS.enabled:
-                            _METRICS.counter("retries_refused_total").inc()
-                        self._note_failure(exc)
-                        raise
+            q, eff = self._derive(source)
+            return self._run_derived(
+                q, eff, strategy=strategy, max_steps=max_steps,
+                commit=commit, engine=engine, budget=budget, atomic=atomic,
+                retry=retry,
+            )
+
+    def _run_derived(
+        self,
+        q: Query,
+        eff: Effect,
+        *,
+        budget: Budget | None = None,
+        atomic: bool = False,
+        retry: RetryPolicy | None = None,
+        **run_kw: Any,
+    ) -> EvalResult:
+        """:meth:`run` after its derivation: ``q`` and its effect ``eff``
+        come from :meth:`_derive`, here or at the caller that holds them
+        (the scheduler's run step, a replica serving a routed read).
+        ``run_kw`` goes to every :meth:`_run_once`."""
+        self._check_fenced()
+        scope = TransactionScope.capture(self, eff) if atomic else None
+        attempt = 0
+        while True:
+            attempt += 1
+            attempt_budget = (
+                budget if attempt == 1 or budget is None else budget.fresh()
+            )
+            try:
+                return self._run_once(q, eff, budget=attempt_budget, **run_kw)
+            except Exception as exc:
+                if scope is not None:
+                    scope.rollback(self)
+                if retry is None or not retry.retryable(exc):
+                    self._note_failure(exc)
+                    raise
+                if attempt >= retry.max_attempts:
                     if _OBS.enabled:
-                        _METRICS.counter("retry_attempts_total").inc()
-                    retry.backoff(attempt)
+                        _METRICS.counter("retries_exhausted_total").inc()
+                    self._note_failure(exc, reason="retry-exhausted")
+                    raise RetryExhausted(attempt, exc) from exc
+                decision = replay_decision(self, q, rolled_back=atomic)
+                if not decision.safe:
+                    if _OBS.enabled:
+                        _METRICS.counter("retries_refused_total").inc()
+                    self._note_failure(exc)
+                    raise
+                if _OBS.enabled:
+                    _METRICS.counter("retry_attempts_total").inc()
+                retry.backoff(attempt)
 
     def _run_once(
         self,
         q: Query,
+        eff: Effect,
         *,
-        strategy: Strategy,
-        max_steps: int,
-        commit: bool,
-        engine: str,
-        budget: Budget | None,
-        eff: Effect | ReproError,
+        strategy: Strategy = FIRST,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        commit: bool = True,
+        engine: str = "auto",
+        budget: Budget | None = None,
     ) -> EvalResult:
-        """One evaluation attempt plus (optionally) its commit.
-
-        ``eff`` is the Figure 3 effect :meth:`run` derived, or the error
-        its derivation raised.
-        """
+        """One evaluation attempt plus (optionally) its commit."""
         decision: PlanDecision | None = None
         if engine == "auto":
             if self._replicas is not None:
                 # effect-proven read-only: try a fresh-enough replica,
-                # which plans the read itself; None means none covers
-                # the R-set right now, and the primary plans and serves
-                # (counted by the router, never wrong)
+                # which plans the read itself under this effect; None
+                # means none covers the query right now, and the primary
+                # plans and serves (counted by the router, never wrong)
                 routed = _route_read(
                     self, q, eff,
                     strategy=strategy, max_steps=max_steps, budget=budget,
@@ -1043,6 +1055,7 @@ class Database:
     def _run_snapshot(
         self,
         q: Query,
+        eff: Effect,
         ee: ExtentEnv,
         oe: ObjectEnv,
         *,
@@ -1055,9 +1068,10 @@ class Database:
         admission (before any batch writer ran), so the answer is the
         sequential one regardless of what this database — typically a
         replica that kept applying shipped records — has installed
-        since.  Never commits, never touches the live caches' results.
+        since.  ``eff`` is the effect admission derived.  Never commits,
+        never touches the live caches' results.
         """
-        decision = _decide_engine(self, q, _derive_effect(self, q))
+        decision = _decide_engine(self, q, eff)
         if decision.engine == "compiled":
             value, effect, ops = execute_plan(
                 self, decision.entry, budget=budget, ee=ee, oe=oe
@@ -1084,10 +1098,10 @@ class Database:
         schedule — including the compiled set-at-a-time operator
         order — yields the same observables) and the plan compiler
         covers its syntax.  The decision object carries the compiled
-        plan's operator notes for ``.explain``.
+        plan's operator notes for ``.explain``.  An ill-typed query
+        raises its type error, as ``run`` does.
         """
-        q = self.parse(source)
-        return _decide_engine(self, q, _derive_effect(self, q))
+        return _decide_engine(self, *self._derive(source))
 
     # -- sharding ----------------------------------------------------------
     def shard(self, cname: str, *, k: int = 8, by: str | None = None):
@@ -1125,7 +1139,8 @@ class Database:
         the shards the plan touches (after pruning) and the rows it
         scans, per comprehension the rows and bytes it hands to its
         merge point, plus the plan's notes.  A query the compiled
-        engine refuses reports its decision and no operator tree.
+        engine refuses reports its decision and no operator tree; an
+        ill-typed one raises its type error, as ``run`` does.
         Returns a :class:`~repro.obs.profile.QueryProfile` whose
         ``render()`` is the shell's ``.explain cost``.
         """
@@ -1268,19 +1283,17 @@ class Database:
         *,
         max_steps: int = 10_000,
         max_paths: int = 100_000,
-        typecheck: bool = True,
         budget: Budget | None = None,
     ) -> Exploration:
-        """Enumerate every reduction order (never commits).
+        """Enumerate every reduction order of a well-typed query (never
+        commits).
 
         A spent ``budget`` truncates the exploration (the result is
         marked ``truncated``) instead of raising — exploration answers a
         question about the schedule space, and a partial answer is
         still an answer.
         """
-        q = self.parse(source)
-        if typecheck:
-            self.typecheck(q)
+        q, _ = self._derive(source)
         return explore(
             self.machine, self.ee, self.oe, q,
             max_steps=max_steps, max_paths=max_paths, budget=budget,

@@ -316,7 +316,10 @@ def record_marks(schema, rec: dict) -> set[str]:
     extent in its ``shards`` stanza — exactly the keys ``"C#k"`` of the
     shards it wrote (``#`` cannot appear in a class name): a freshly
     added object is unreachable from objects of other classes, so a
-    query not reading those classes (or shards) cannot observe it.
+    query not reading those classes (or shards) cannot observe it —
+    unless it names the object by an oid literal, which adds no ``R``
+    atom; the router's coverage requirement therefore also names the
+    class of every literal (``ReplicaSet._requirement``).
     Every other record — ``full`` (``U`` commits, rollback, restore) or
     ``define`` — may be observed by any query through reference chains
     (§5), so it advances the star ``"*"``.  The primary and every

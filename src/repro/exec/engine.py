@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.effects.algebra import Effect
-from repro.effects.checker import EffectChecker
-from repro.errors import ReproError
 from repro.exec.cache import PlanEntry
 from repro.exec.compiler import CompiledPlan, NotCompilable, compile_plan
 from repro.exec.runtime import ExecContext, ReplanGuard, ReplanSignal
@@ -40,22 +38,12 @@ class PlanDecision:
         return self.entry.plan if self.entry is not None else None
 
 
-def derive_effect(db, q: Query) -> Effect | ReproError:
-    """``q``'s Figure 3 effect, or the error its derivation raised."""
-    try:
-        return EffectChecker().check_traced(db.type_context(), q)[1]
-    except ReproError as exc:
-        return exc
-
-
-def decide(db, q: Query, eff: Effect | ReproError) -> PlanDecision:
+def decide(db, q: Query, eff: Effect) -> PlanDecision:
     """The compile/fallback decision for one parsed query.
 
-    ``eff`` is ``q``'s Figure 3 effect (:func:`derive_effect`); the
-    caller derives it once and this only reads it.
+    ``eff`` is ``q``'s Figure 3 effect from the caller's one
+    derivation (``Database._derive``); this only reads it.
     """
-    if isinstance(eff, ReproError):
-        return PlanDecision("reduction", f"static analysis failed ({eff})")
     if eff.writes():
         written = ", ".join(sorted(eff.writes()))
         return PlanDecision(
@@ -134,21 +122,23 @@ def _compile_entry(db, q: Query, eff: Effect) -> PlanEntry:
     )
 
 
-def route_read(db, q: Query, eff: Effect | ReproError, **run_kw):
+def route_read(db, q: Query, eff: Effect, **run_kw):
     """The replication routing hook behind ``Database.run(engine="auto")``.
 
     A query whose Figure 3 effect ``eff`` has an **empty write set** is
     exactly one Theorem 4 makes schedule-invariant — so it may be
     answered by any replica whose per-extent watermarks cover its R-set
-    (plus the star mark that tracks ``U``/``define`` commits, per the §5
-    reference-chasing caveat) without the answer being distinguishable
-    from the primary's.  The replica plans the read itself; the primary
-    plans only what it serves.  Returns the replica's
-    :class:`EvalResult`, or ``None`` when no replica qualifies (the
-    caller degrades to the primary: counted, never wrong).
+    and the class of each oid literal it names (plus the star mark that
+    tracks ``U``/``define`` commits, per the §5 reference-chasing
+    caveat) without the answer being distinguishable from the
+    primary's.  The replica plans the read itself under ``eff`` and
+    derives nothing again; the primary plans only what it serves.
+    Returns the replica's :class:`EvalResult`, or ``None`` when no
+    replica qualifies (the caller degrades to the primary: counted,
+    never wrong).
     """
     replicas = getattr(db, "_replicas", None)
-    if replicas is None or isinstance(eff, ReproError) or eff.writes():
+    if replicas is None or eff.writes():
         return None
     return replicas.try_serve(q, eff, **run_kw)
 
@@ -284,8 +274,9 @@ def explain(
 ):
     """The explain tree of one query: the production plan, in profile mode.
 
-    Decides the engine exactly as ``run(engine="auto")`` does, then
-    plans the query through :func:`_plan` (the pipeline that built the
+    Derives and decides the engine exactly as ``run(engine="auto")``
+    does (an ill-typed query raises its type error), then plans the
+    query through :func:`_plan` (the pipeline that built the
     cached plan) with ``profile=True``, so the header (estimated cost,
     rewrites, decision, plan notes) and every operator's estimate and
     shard access describe the plan ``run`` executes.  A query the
@@ -302,8 +293,8 @@ def explain(
     from repro.lang.pprint import pretty
     from repro.obs.profile import ProfileRun, QueryProfile, build_nodes
 
-    q = db.parse(source)
-    decision = decide(db, q, derive_effect(db, q))
+    q, eff = db._derive(source)
+    decision = decide(db, q, eff)
     model, optimized, plan, _ = _plan(db, q, profile=True)
     if decision.engine != "compiled":
         plan = None

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import IOQLTypeError
 from repro.lang.ast import Comp, Gen, Pred, Qualifier, Query, SetOp
 from repro.lang.traversal import map_subqueries
-from repro.model.types import SetType
 from repro.obs._state import STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.spans import span as _span
@@ -63,7 +61,7 @@ class Planner:
     """Bottom-up, fixpoint application of a rule set."""
 
     def __init__(self, ctx: TypeContext, rules: tuple[Rule, ...] = DEFAULT_RULES):
-        self.base_ctx = ctx
+        self.base = RewriteContext(ctx)
         self.rules = rules
         self.steps: list[RewriteStep] = []
 
@@ -71,20 +69,19 @@ class Planner:
         """Rewrite to a fixpoint (bounded by a generous pass limit)."""
         current = q
         for _ in range(_MAX_PASSES):
-            rewritten = self._pass(self.base_ctx, current)
+            rewritten = self._pass(self.base, current)
             if rewritten == current:
                 return current
             current = rewritten
         return current
 
     # ------------------------------------------------------------------
-    def _pass(self, ctx: TypeContext, q: Query) -> Query:
+    def _pass(self, rc: RewriteContext, q: Query) -> Query:
         """One bottom-up pass: children first, then rules at this node."""
         if isinstance(q, Comp):
-            rebuilt = self._pass_comp(ctx, q)
+            rebuilt = self._pass_comp(rc, q)
         else:
-            rebuilt = map_subqueries(q, lambda sub: self._pass(ctx, sub))
-        rc = RewriteContext(ctx)
+            rebuilt = map_subqueries(q, lambda sub: self._pass(rc, sub))
         for rule in self.rules:
             replacement = rule.apply(rc, rebuilt)
             if replacement is not None and replacement != rebuilt:
@@ -92,10 +89,10 @@ class Planner:
                 return replacement
         return rebuilt
 
-    def _pass_comp(self, ctx: TypeContext, q: Comp) -> Query:
+    def _pass_comp(self, rc: RewriteContext, q: Comp) -> Query:
         """Descend a comprehension, extending the context per generator."""
         quals: list[Qualifier] = []
-        inner = ctx
+        inner = rc
         for cq in q.qualifiers:
             if isinstance(cq, Pred):
                 quals.append(Pred(self._pass(inner, cq.cond)))
@@ -103,19 +100,9 @@ class Planner:
                 assert isinstance(cq, Gen)
                 new_source = self._pass(inner, cq.source)
                 quals.append(Gen(cq.var, new_source))
-                inner = _bind(inner, cq.var, new_source)
+                inner = inner.bind(cq.var, new_source)
         head = self._pass(inner, q.head)
         return Comp(head, tuple(quals))
-
-
-def _bind(ctx: TypeContext, var: str, source: Query) -> TypeContext:
-    try:
-        st = check_query(ctx, source)
-    except IOQLTypeError:
-        return ctx
-    if isinstance(st, SetType):
-        return ctx.extend(var, st.elem)
-    return ctx
 
 
 def optimize(

@@ -76,8 +76,10 @@ from repro.lang.ast import (
     StrLit,
 )
 from repro.lang.traversal import free_vars, subst, walk
+from repro.model.types import ListType, SetType
 from repro.obs._state import STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.typing.checker import check_query
 from repro.typing.context import TypeContext
 
 
@@ -126,12 +128,10 @@ class RewriteContext:
         return self.write_free(q) and termination_safe(q)
 
     def bind(self, var: str, q_source: Query) -> "RewriteContext":
-        """Extend the typing context with a generator binding."""
-        from repro.model.types import SetType
-
+        """Extend the typing context with a generator binding: Figure 1
+        on the source, then ``var`` at its element type (unchanged when
+        the source does not type as a set)."""
         try:
-            from repro.typing.checker import check_query
-
             st = check_query(self.ctx, q_source)
         except IOQLTypeError:
             return self
@@ -413,9 +413,6 @@ def _commute_setop(rc: RewriteContext, q: Query) -> Query | None:
     only *profitable* under a cost model; this rule asserts *legality*."""
     if not isinstance(q, SetOp) or not q.op.commutative:
         return None
-    from repro.model.types import ListType
-    from repro.typing.checker import check_query
-
     try:
         if isinstance(check_query(rc.ctx, q.left), ListType):
             return None  # list union = concatenation: never commutes

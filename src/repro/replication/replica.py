@@ -16,8 +16,9 @@ shards — it added to; ``full`` and ``define`` records advance a *star*
 mark instead, because an in-place update or a new definition can be
 observed by any query through reference chains the R-set does not name
 (the §5 caveat).  A replica
-may serve a query iff, for every class in the query's R-set, its own
-``max(star, mark[C])`` reaches the primary's — the rule
+may serve a query iff, for every class in the query's R-set and the
+class of every oid literal it names, its own ``max(star, mark[C])``
+reaches the primary's — the rule
 ``tests/test_replication_differential.py`` certifies against 200 seeded
 mixed batches with zero stale reads.
 
@@ -380,12 +381,16 @@ class Replica:
                         return False
         return True
 
-    def serve(self, q, **run_kw) -> "EvalResult":
-        """Answer one routed read against this replica's live state."""
+    def serve(self, q, eff, **run_kw) -> "EvalResult":
+        """Answer one routed read against this replica's live state.
+
+        ``q`` and its effect ``eff`` are the primary's derivation, made
+        once before routing; the replica derives nothing again.
+        """
         with self._lock:
             self.inflight += 1
         try:
-            return self.db.run(q, commit=False, typecheck=False, **run_kw)
+            return self.db._run_derived(q, eff, commit=False, **run_kw)
         finally:
             with self._lock:
                 self.inflight -= 1
@@ -403,12 +408,13 @@ class Replica:
         oe = self.db.oe
         return ee, oe
 
-    def serve_snapshot(self, q, ee, oe, **run_kw) -> "EvalResult":
-        """Answer a pinned read against a captured (ee, oe) pair."""
+    def serve_snapshot(self, q, eff, ee, oe, **run_kw) -> "EvalResult":
+        """Answer a pinned read (effect ``eff``, derived at admission)
+        against a captured (ee, oe) pair."""
         with self._lock:
             self.inflight += 1
         try:
-            return self.db._run_snapshot(q, ee, oe, **run_kw)
+            return self.db._run_snapshot(q, eff, ee, oe, **run_kw)
         finally:
             with self._lock:
                 self.inflight -= 1

@@ -6,7 +6,8 @@
 * **live routing** (``try_serve``): ``Database.run(engine="auto")``
   asks it to serve an effect-proven read-only query.  The set picks the
   least-loaded replica whose per-extent watermarks cover the query's
-  R-set against the primary's current write marks; if none qualifies
+  R-set and the classes of its oid literals against the primary's
+  current write marks; if none qualifies
   it polls once (ship + apply is cheap) and re-picks, and if the set
   still cannot prove freshness it returns ``None`` — the primary
   answers, the degrade is counted, and the answer is never wrong.
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.effects.algebra import Effect
+from repro.lang.ast import OidRef
+from repro.lang.traversal import walk
 from repro.obs import flight as _flight
 from repro.replication.replica import (
     LAGGING,
@@ -125,25 +128,41 @@ class ReplicaSet:
         raise ReplicationError(f"no replica named {name!r}")
 
     # -- routing ---------------------------------------------------------
-    def _shard_reads(self, q) -> dict | None:
-        """The query's static per-class shard confinement (or ``None``).
+    def _requirement(self, q, eff: Effect) -> tuple[frozenset, dict | None]:
+        """The classes a replica must cover to answer ``q``, and the
+        query's static per-class shard confinement (or ``None``).
 
-        Computed against the *primary's* live layout — marks were
-        written under the same layout, so shard ids line up.  ``None``
-        (unsharded primary, or analysis refused) keeps the class-level
-        rule, which is always sufficient.
+        The classes are the Figure 3 R-set plus the class of every oid
+        literal ``q`` names (its record's class on the primary, Q(o)): a
+        literal adds no ``R`` atom (§5), yet reaches its object
+        directly, so the replica must have applied the record that
+        created it — an ``A``-only delta advanced that class's mark, any
+        other record the star.  A literal's class is never
+        shard-confined.
+
+        Confinement is computed against the *primary's* live layout —
+        marks were written under the same layout, so shard ids line up.
+        ``None`` (unsharded primary, or analysis refused) keeps the
+        class-level rule, which is always sufficient.
         """
-        if q is None:
-            return None
+        oe = self.db.oe
+        literals = frozenset(
+            oe.get(n.name).cname for n in walk(q) if isinstance(n, OidRef)
+        )
+        shard_reads = None
         shards = getattr(self.db, "_shards", None)
-        if shards is None or not shards.enabled:
-            return None
-        try:
-            from repro.db.shards import static_read_shards
+        if shards is not None and shards.enabled:
+            try:
+                from repro.db.shards import static_read_shards
 
-            return static_read_shards(shards, self.db.schema, q)
-        except Exception:
-            return None
+                shard_reads = static_read_shards(shards, self.db.schema, q)
+            except Exception:
+                shard_reads = None
+        if shard_reads and literals:
+            shard_reads = {
+                c: s for c, s in shard_reads.items() if c not in literals
+            }
+        return eff.reads() | literals, shard_reads
 
     def _pick(
         self,
@@ -184,8 +203,7 @@ class ReplicaSet:
         if self._closed:
             return None
         required = self.db.write_marks()
-        classes = eff.reads()
-        shard_reads = self._shard_reads(q)
+        classes, shard_reads = self._requirement(q, eff)
         pick = self._pick(required, classes, shard_reads)
         if pick is None and self.auto_poll:
             # one cheap catch-up attempt before giving the read back:
@@ -196,7 +214,7 @@ class ReplicaSet:
             self._degrade("no-fresh-replica")
             return None
         try:
-            result = pick.serve(q, **run_kw)
+            result = pick.serve(q, eff, **run_kw)
         except ReplicationError:
             self._degrade("replica-error")
             return None
@@ -205,18 +223,17 @@ class ReplicaSet:
         return result
 
     # -- pinned routing (scheduler) --------------------------------------
-    def pin(self, eff: Effect, q=None) -> PinnedRead | None:
+    def pin(self, eff: Effect, q) -> PinnedRead | None:
         """Pin a covering replica's current snapshot for a batch read.
 
-        ``q`` (optional) enables shard-confined coverage: a read the
-        static analysis proves touches only certain shards can pin a
-        replica that is behind on the *other* shards of those classes.
+        Coverage is :meth:`try_serve`'s: a read the static analysis
+        proves touches only certain shards can pin a replica that is
+        behind on the *other* shards of those classes.
         """
         if self._closed:
             return None
         required = self.db.write_marks()
-        classes = eff.reads()
-        shard_reads = self._shard_reads(q)
+        classes, shard_reads = self._requirement(q, eff)
         pick = self._pick(required, classes, shard_reads)
         if pick is None and self.auto_poll:
             self.poll()
@@ -227,9 +244,10 @@ class ReplicaSet:
         ee, oe = pick.snapshot_envs()
         return PinnedRead(pick, ee, oe)
 
-    def serve_pinned(self, pin: PinnedRead, q, **run_kw) -> "EvalResult":
-        """Run a scheduler-admitted read against its pinned snapshot."""
-        result = pin.replica.serve_snapshot(q, pin.ee, pin.oe, **run_kw)
+    def serve_pinned(self, pin: PinnedRead, q, eff, **run_kw) -> "EvalResult":
+        """Run a scheduler-admitted read (effect ``eff``, derived at
+        admission) against its pinned snapshot."""
+        result = pin.replica.serve_snapshot(q, eff, pin.ee, pin.oe, **run_kw)
         with self._lock:
             self.routed_total += 1
             self.pinned_total += 1

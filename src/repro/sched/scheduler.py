@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.effects.algebra import EMPTY, Effect
-from repro.effects.checker import EffectChecker
 from repro.errors import ReproError
 from repro.lang.ast import Query
 from repro.obs import flight as _flight
@@ -302,10 +301,7 @@ class QueryScheduler:
             adm = Admission(i, src)
             try:
                 maybe_fault("sched.admit")
-                adm.query = self.db.parse(src)
-                _, adm.effect = EffectChecker().check_traced(
-                    self.db.type_context(), adm.query
-                )
+                adm.query, adm.effect = self.db._derive(src)
             except BaseException as exc:  # noqa: BLE001 - recorded, not lost
                 adm.error = exc
             if adm.ok:
@@ -527,18 +523,19 @@ class QueryScheduler:
                 # captured at admission (pre-batch state, which the
                 # pinning condition proved equivalent)
                 res = self._rset.serve_pinned(
-                    adm.pinned, adm.query, budget=budget
+                    adm.pinned, adm.query, adm.effect, budget=budget
                 )
             else:
-                res = self.db.run(
-                    adm.query,
-                    # admission ran Figure 3, which gives the Figure 1 type
-                    typecheck=False,
-                    commit=writer,
-                    budget=budget,
-                    atomic=self.atomic if writer else False,
-                    retry=self.retry,
-                )
+                # run's back half: admission made the one derivation
+                with _span("query", engine="auto"):
+                    res = self.db._run_derived(
+                        adm.query,
+                        adm.effect,
+                        commit=writer,
+                        budget=budget,
+                        atomic=self.atomic if writer else False,
+                        retry=self.retry,
+                    )
             return Outcome(
                 adm.index,
                 adm.source,

@@ -172,41 +172,57 @@ class TestFrontEnd:
         monkeypatch.setattr(database, "check_query", counted_check)
         return calls
 
+    READ = "{ e.name | e <- Employees }"
     NEW = 'new Person(name: "N", age: 1, address: "A")'
 
     @pytest.mark.parametrize(
-        "src, kw, warm",
+        "srcs, batch, kw, warm, replica",
         [
-            ("{ e.name | e <- Employees }", {}, False),  # plan-cache miss
-            ("{ e.name | e <- Employees }", {}, True),  # plan-cache hit
-            (NEW, {}, False),
-            (NEW, {"atomic": True}, False),
-            ("{ e.name | e <- Employees }", {"typecheck": False}, False),
-            (NEW, {"typecheck": False, "atomic": True}, False),
+            ([READ], False, {}, False, False),  # plan-cache miss
+            ([READ], False, {}, True, False),  # plan-cache hit
+            ([NEW], False, {}, False, False),
+            ([NEW], False, {"atomic": True}, False, False),
+            ([READ, NEW], True, {}, False, False),
+            ([READ], False, {}, False, True),  # served by the replica
+            ([READ], True, {}, False, True),  # pinned to the replica
         ],
-        ids=["read-miss", "read-hit", "new", "atomic", "untyped-read",
-             "untyped-atomic"],
+        ids=["read-miss", "read-hit", "new", "atomic", "run-many",
+             "routed", "pinned"],
     )
-    def test_run_derives_once(self, hr_db, derivations, src, kw, warm):
+    def test_run_derives_once(
+        self, hr_db, derivations, tmp_path, srcs, batch, kw, warm, replica
+    ):
+        """One Figure 3 derivation per query on every path: the
+        scheduler and a replica reuse the one made on admission or
+        before routing."""
+        if replica:
+            hr_db.attach_wal(str(tmp_path / "db"), sync=False)
+            rset = hr_db.replicate(1)
         if warm:
-            hr_db.run(src)
-            derivations.clear()
-        hr_db.run(src, **kw)
-        assert derivations == ["figure 3"]
+            hr_db.run(srcs[0])
+        derivations.clear()
+        if batch:
+            assert all(out.ok for out in hr_db.run_many(srcs))
+        else:
+            hr_db.run(srcs[0], **kw)
+        assert derivations == ["figure 3"] * len(srcs)
+        if replica:
+            assert rset.routed_total == 1
+            assert rset.pinned_total == int(batch)
+            hr_db.close()
 
-    @pytest.mark.parametrize(
-        "src, message",
-        [
-            ("1 + true", "right operand of + must have type int, got bool"),
-            (
-                "traverse(p in Persons over nosuch)",
-                "traverse attribute 'nosuch' is not declared by any class "
-                "reachable from Person",
-            ),
-            ("{ (Nope) x | x <- {} }", "cast to unknown class 'Nope'"),
-            ("struct(a: 1, a: 2)", "duplicate labels in record ('a', 'a')"),
-        ],
-    )
+    ILL_TYPED = [
+        ("1 + true", "right operand of + must have type int, got bool"),
+        (
+            "traverse(p in Persons over nosuch)",
+            "traverse attribute 'nosuch' is not declared by any class "
+            "reachable from Person",
+        ),
+        ("{ (Nope) x | x <- {} }", "cast to unknown class 'Nope'"),
+        ("struct(a: 1, a: 2)", "duplicate labels in record ('a', 'a')"),
+    ]
+
+    @pytest.mark.parametrize("src, message", ILL_TYPED)
     @pytest.mark.parametrize("engine", ["auto", "reduction"])
     def test_ill_typed_run_keeps_figure1_wording(
         self, hr_db, src, message, engine
@@ -215,7 +231,19 @@ class TestFrontEnd:
             hr_db.typecheck(src)
         with pytest.raises(IOQLTypeError) as by_run:
             hr_db.run(src, engine=engine)
+        (outcome,) = hr_db.run_many([src])
+        assert isinstance(outcome.error, IOQLTypeError)
         assert str(by_run.value) == str(by_typecheck.value) == message
+        assert str(outcome.error) == message
+
+    @pytest.mark.parametrize("src, message", ILL_TYPED)
+    def test_ill_typed_plan_raises_the_type_error(self, hr_db, src, message):
+        with pytest.raises(IOQLTypeError) as by_typecheck:
+            hr_db.typecheck(src)
+        for plan in (hr_db.plan_decision, hr_db.explain_cost):
+            with pytest.raises(IOQLTypeError) as by_plan:
+                plan(src)
+            assert str(by_plan.value) == str(by_typecheck.value) == message
 
 
 class TestSnapshots:

@@ -285,6 +285,27 @@ class TestRouting:
         served = sorted(r.served_total for r in rset)
         assert served == [2, 2, 2]  # round-robin via the load tie-break
 
+    def test_oid_literal_read_waits_for_its_object(self, tmp_path):
+        """A literal adds no R atom (§5), yet reaches its object: the
+        read degrades until the replica has applied the object's
+        record, then routes, and every answer is the primary's."""
+        db = _open(tmp_path)
+        db.insert("Person", name="a", age=1)
+        rset = db.replicate(1, auto_poll=False)
+        rset.poll()
+        o = db.insert("Person", name="b", age=2)
+        o2 = db.insert("Person", name="c", age=3)
+        texts = [f"{o.name}.name", f"{o2.name}.name", "size(Persons)"]
+        want = [
+            db.run(t, engine="bigstep", commit=False).value for t in texts
+        ]
+        assert db.run(texts[0]).value == want[0]
+        assert db.run_many(texts[1:]).values() == want[1:]
+        assert rset.routed_total == 0  # behind: the primary answered
+        rset.poll()
+        assert db.run(texts[0]).value == want[0]
+        assert rset.routed_total == 1
+
     def test_replicate_requires_wal(self, tmp_path):
         db = Database.from_odl(ODL)
         with pytest.raises(ReproError, match="write-ahead log"):
@@ -480,6 +501,11 @@ class TestFailover:
                      lambda: db.replicate(1)):
             with pytest.raises(ReproError, match="fenced"):
                 stmt()
+        batch = db.run_many(["Persons", 'new Person(name: "y", age: 2)'])
+        assert all(
+            isinstance(out.error, ReproError) and "fenced" in str(out.error)
+            for out in batch
+        )
         assert newdb.wal is not None
         assert len(newdb.extent("Persons")) == 1
 

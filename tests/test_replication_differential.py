@@ -264,7 +264,8 @@ class TestFailoverDifferential:
         d, _db = self._build_estate(tmp_path)
         surv = self._crash_copy(d, str(tmp_path / "surv"))
         replica = Replica("survivor", directory=surv, retry=_fast_retry())
-        before = replica.serve("Persons").value  # read while headless
+        # read while headless
+        before = replica.db.run("Persons", commit=False).value
         promoted = promote(replica, directory=surv)
         after = promoted.run("Persons").value
         assert before == after  # the survivor was already caught up

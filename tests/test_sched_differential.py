@@ -69,7 +69,7 @@ def _reference_run(db: Database, sources) -> list[tuple[str, object]]:
         try:
             q = db.parse(src)
             db.typecheck_with_effect(q)
-            res = db.run(q, typecheck=False)
+            res = db.run(q)
             outs.append(("ok", res.value))
         except Exception as exc:  # noqa: BLE001 - the *type* is the spec
             outs.append(("error", type(exc)))

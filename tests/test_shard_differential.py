@@ -277,6 +277,22 @@ class TestReplicaShardFreshness:
         }
         db.close()
 
+    def test_oid_literal_class_is_never_confined(self, tmp_path):
+        """The read is confined to the cold shard, but names an object
+        the replica has not applied yet in the hot one."""
+        db = self._primary(tmp_path)
+        hot, cold = _regions_for_two_distinct_shards()
+        db.insert("Person", name="cold", region=cold, age=1)
+        rset = db.replicate(1, auto_poll=False)
+        rset.poll()
+        o = db.insert("Person", name="fresh", region=hot, age=1)
+        text = f'{{ {o.name}.name | p <- Persons, p.region = "{cold}" }}'
+        want = db.run(text, engine="bigstep", commit=False).value
+        routed0 = rset.routed_total
+        assert db.run(text).value == want
+        assert rset.routed_total == routed0
+        db.close()
+
     def test_unconfined_read_requires_full_coverage(self, tmp_path):
         db = self._primary(tmp_path)
         rset = db.replicate(1, auto_poll=False)

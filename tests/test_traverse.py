@@ -56,6 +56,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.resilience.retry import RetryPolicy
 from repro.model.types import ClassType, SetType
+from repro.semantics.bigstep import evaluate_bigstep
 
 from tests.traverse_helpers import NODE_REF_ODL, graph_db, oids, reachable
 
@@ -253,15 +254,16 @@ class TestSemantics:
         assert res.effect.subeffect_of(static)
         assert res.effect == Effect.of(read("Node"))
 
+    # ill-typed on purpose: run() rejects them, so drive big-step
     def test_dangling_reference_raises(self, db):
         q = Traverse("x", SetLit((OidRef("@ghost"),)), "next", None)
         with pytest.raises(EvalError):
-            db.run(q, typecheck=False, engine="bigstep", commit=False)
+            evaluate_bigstep(db.machine, db.ee, db.oe, q)
 
     def test_non_set_source_stuck(self, db):
         q = Traverse("x", IntLit(3), "next", None)
         with pytest.raises(StuckError):
-            db.run(q, typecheck=False, engine="bigstep", commit=False)
+            evaluate_bigstep(db.machine, db.ee, db.oe, q)
 
     def test_bigstep_matches_model(self):
         edges = {f"c{i}": f"c{i + 1}" for i in range(40)}

@@ -78,7 +78,7 @@ def _reference_run(db: Database, sources, states: list) -> None:
         try:
             q = db.parse(src)
             db.typecheck_with_effect(q)
-            res = db.run(q, typecheck=False)
+            res = db.run(q)
         except Exception:  # noqa: BLE001 - failures commit nothing
             continue
         if res.effect.writes():
