@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.effects.algebra import EMPTY, Effect, read as read_effect
 from repro.errors import StuckError
 from repro.lang.ast import OidRef, Query
-from repro.lang.values import make_set_value
+from repro.lang.values import make_oid_set
 from repro.obs._state import STATE as _OBS
 from repro.resilience.budget import Budget
 from repro.resilience.faults import maybe_fault
@@ -261,7 +261,7 @@ class ExecContext:
             self.prof.scans += 1
         cached = self._extent_cache.get(extent)
         if cached is None:
-            cached = make_set_value(OidRef(o) for o in members)
+            cached = make_oid_set(members)
             self._extent_cache[extent] = cached
         return cached
 

@@ -6,6 +6,15 @@ effect side condition is evaluated with the right variable types.
 Every firing is recorded as a :class:`RewriteStep` — the provenance the
 benchmarks print and the equivalence tests replay.
 
+The default rules, and the cost-directed ``reorder-generators`` of
+:mod:`repro.optimizer.cost`, terminate: the folds and ``unnest`` each
+remove a constructor or a level of comprehension nesting,
+``pred-pushdown`` lowers the count of (generator, later predicate)
+pairs, and the reorder fires only on a strict estimated improvement.  A
+typical query reaches its fixpoint in one or two passes.  The pass cap
+is a safety net for rule sets that do not terminate; hitting it leaves
+an ``optimize-cap`` event in the flight recorder.
+
 The planner is deliberately *transparent*: it refuses nothing silently.
 A rule whose side condition fails simply does not fire; the legality
 analysis behind a refusal can be asked for directly
@@ -17,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.ast import Comp, Gen, Pred, Qualifier, Query, SetOp
+from repro.lang.pprint import pretty
 from repro.lang.traversal import map_subqueries
+from repro.obs import flight as _flight
 from repro.obs._state import STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.spans import span as _span
@@ -31,6 +42,9 @@ from repro.typing.checker import check_query
 from repro.typing.context import TypeContext
 
 _MAX_PASSES = 50
+
+_CAP_QUERY_CHARS = 200
+"""Longest query text an ``optimize-cap`` flight event carries."""
 
 
 @dataclass(frozen=True)
@@ -66,13 +80,25 @@ class Planner:
         self.steps: list[RewriteStep] = []
 
     def optimize(self, q: Query) -> Query:
-        """Rewrite to a fixpoint (bounded by a generous pass limit)."""
+        """Rewrite to a fixpoint.
+
+        The pass limit is a safety net: a rule set still rewriting after
+        ``_MAX_PASSES`` passes stops there and records an
+        ``optimize-cap`` flight event (pass count, last rule fired, the
+        query).
+        """
         current = q
         for _ in range(_MAX_PASSES):
             rewritten = self._pass(self.base, current)
             if rewritten == current:
                 return current
             current = rewritten
+        _flight.record(
+            "optimize-cap",
+            passes=_MAX_PASSES,
+            last_rule=self.steps[-1].rule,
+            query=pretty(q)[:_CAP_QUERY_CHARS],
+        )
         return current
 
     # ------------------------------------------------------------------

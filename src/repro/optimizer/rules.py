@@ -19,10 +19,16 @@ information.  Each rule here carries its side condition explicitly:
                       *skipped* qualifiers to be write-free and
                       termination-safe
 ``empty-gen``         ``{h | …, x ← {}, …}`` → ``{}`` — same condition
-``pred-pushdown``     move a pure, termination-safe predicate to the
-                      earliest position where its variables are bound —
-                      requires the qualifiers it crosses to be write-free
-                      and termination-safe (their evaluation count drops)
+``pred-pushdown``     move a pure, termination-safe predicate back across
+                      the generators that do not bind its variables, to
+                      just after the generator binding its last free
+                      variable and behind the predicates already there
+                      — requires the qualifiers it crosses to be
+                      write-free and termination-safe (their evaluation
+                      count drops).  It fires only when it crosses a
+                      generator and never stops in front of a predicate,
+                      so each firing lowers the count of (generator,
+                      later predicate) pairs: the rule terminates
 ``unnest``            ``{h | x ← {h′ | G⃗}, R⃗}`` →
                       ``{h[x:=h′] | G⃗, R⃗[x:=h′]}`` — valid on sets
                       (idempotent collection); requires ``h′`` pure and
@@ -282,25 +288,35 @@ def _empty_gen(rc: RewriteContext, q: Query) -> Query | None:
 
 
 def _pred_pushdown(rc: RewriteContext, q: Query) -> Query | None:
-    """Move one pure predicate to the earliest position binding its vars."""
+    """Move one pure predicate back across the generators it does not need.
+
+    The predicate lands just after the generator binding its last free
+    variable (or just after the nearest qualifier it may not cross),
+    behind the predicates already in that slot: it never stops in front
+    of a predicate, so predicates sharing a slot keep their order and
+    the rule fires only when the predicate crosses a generator.  Each
+    firing therefore strictly lowers the number of (generator, later
+    predicate) pairs — no other predicate changes how many generators
+    precede it — so the rule cannot fire forever.
+    """
     if not isinstance(q, Comp):
         return None
     quals = q.qualifiers
-    for i, cq in enumerate(quals):
-        if not isinstance(cq, Pred):
-            continue
-        # the predicate itself will be evaluated more often: must be
+    preds = [i for i, cq in enumerate(quals) if isinstance(cq, Pred)]
+    if not preds:
+        return None
+    # scopes[j]: the context qualifier j is evaluated in
+    scopes: list[RewriteContext] = []
+    scope = rc
+    for cq in quals[: preds[-1] + 1]:
+        scopes.append(scope)
+        if isinstance(cq, Gen):
+            scope = scope.bind(cq.var, cq.source)
+    for i in preds:
+        cq = quals[i]
+        # the predicate itself may be evaluated more often: must be
         # pure and termination-safe
-        inner = rc
-        bound_at: list[frozenset[str]] = []  # vars bound before position j
-        bound: frozenset[str] = frozenset()
-        for prior in quals[:i]:
-            bound_at.append(bound)
-            if isinstance(prior, Gen):
-                bound |= {prior.var}
-                inner = inner.bind(prior.var, prior.source)
-        bound_at.append(bound)
-        if not inner.discardable(cq.cond):
+        if not scopes[i].discardable(cq.cond):
             continue
         fv = free_vars(cq.cond)
         # earliest legal position
@@ -310,19 +326,18 @@ def _pred_pushdown(rc: RewriteContext, q: Query) -> Query | None:
             if isinstance(crossed, Gen) and crossed.var in fv:
                 break
             # crossed qualifier will be evaluated fewer times
-            cr_inner_q = crossed.cond if isinstance(crossed, Pred) else crossed.source
-            rc_j = rc
-            for prior in quals[:j]:
-                if isinstance(prior, Gen):
-                    rc_j = rc_j.bind(prior.var, prior.source)
-            if not rc_j.skippable(cr_inner_q):
+            sub = crossed.cond if isinstance(crossed, Pred) else crossed.source
+            if not scopes[j].skippable(sub):
                 break
             target = j
+        # land behind the predicates already in the slot
+        while target < i and isinstance(quals[target], Pred):
+            target += 1
         if target < i:
-            new_quals = list(quals)
-            del new_quals[i]
-            new_quals.insert(target, cq)
-            return Comp(q.head, tuple(new_quals))
+            return Comp(
+                q.head,
+                quals[:target] + (cq,) + quals[target:i] + quals[i + 1 :],
+            )
     return None
 
 

@@ -1,12 +1,29 @@
 """Unit tests for the rewriting pipeline and optimizer equivalence."""
 
+import random
+
 import pytest
 
 from repro.db.database import Database
 from repro.errors import IOQLTypeError
-from repro.lang.ast import SetLit, SetOp
+from repro.lang.ast import IntLit, SetLit, SetOp
+from repro.lang.pprint import pretty
+from repro.metatheory.generators import (
+    QueryGenerator,
+    make_random_schema,
+    make_random_store,
+)
+from repro.obs.flight import RECORDER
+from repro.optimizer.cost import CostModel, cost_rules, optimize_with_costs
 from repro.optimizer.equivalence import observationally_equal
-from repro.optimizer.planner import explain_commutation, optimize, try_commute
+from repro.optimizer.planner import (
+    _MAX_PASSES,
+    explain_commutation,
+    optimize,
+    try_commute,
+)
+from repro.optimizer.rules import Rule
+from tests.test_opt_differential import build_db, corpus
 
 ODL = """
 class Person extends Object (extent Persons) {
@@ -159,3 +176,167 @@ class TestCommutation:
         assert len(r2.value.items) == 0  # the paper's "empty set!"
         report = observationally_equal(db, q1, q2, max_paths=20000)
         assert not report.equal
+
+
+# ---------------------------------------------------------------------------
+# fixpoint: the rule set terminates, the pass cap is only a safety net
+# ---------------------------------------------------------------------------
+
+# A small copy of the end-to-end benchmark's schema: its read texts are
+# written out below against it.
+PERF_ODL = """
+class Person extends Object (extent Persons) {
+    attribute string name;
+    attribute int age;
+}
+class Manager extends Person (extent Managers) {
+    attribute int level;
+    attribute Person boss;
+}
+class Employee extends Person (extent Employees) {
+    attribute int EmpID;
+    attribute int GrossSalary;
+    attribute Manager UniqueManager;
+}
+"""
+
+
+def perf_db() -> tuple[Database, list[str]]:
+    """A CEO, seven Managers in a fan-out-2 tree, forty Employees."""
+    db = Database.from_odl(PERF_ODL)
+    rng = random.Random(21)
+    ceo = db.insert("Person", name="ceo", age=60)
+    managers = []
+    for i in range(7):
+        managers.append(db.insert(
+            "Manager",
+            name=f"m{i}",
+            age=30 + rng.randrange(30),
+            level=(i + 1).bit_length() - 1,
+            boss=ceo if i == 0 else managers[(i - 1) // 2],
+        ))
+    for i in range(40):
+        db.insert(
+            "Employee",
+            name=f"e{i}",
+            age=18 + rng.randrange(50),
+            EmpID=i,
+            GrossSalary=2000 + rng.randrange(8000),
+            UniqueManager=rng.choice(managers),
+        )
+    boss = managers[3].name
+    queries = [
+        # the ad-hoc reads: point, manager, filter, traverse, join
+        "{ e.GrossSalary | e <- Employees, e.EmpID = 7 }",
+        f"{{ e.name | e <- Employees, e.UniqueManager == {boss} }}",
+        "{ m.name | m <- Managers, m.level >= 1, m.age < 50 }",
+        "traverse(m in { x | x <- Managers, x.age = 40 } over boss depth <= 3)",
+        "traverse(m in { x | x <- Managers, x.age = 40 } over boss)",
+        "{ e.EmpID | e <- Employees, m <- Managers, e.UniqueManager == m, "
+        "m.age < 45, e.GrossSalary > 9000 }",
+        # the hot reads
+        "{ e.name | e <- Employees, e.GrossSalary > 9500 }",
+        "{ e.EmpID | e <- Employees, m <- Managers, e.UniqueManager == m, "
+        "m.level = 2, e.GrossSalary > 9000 }",
+        "exists e in Employees : e.GrossSalary > 9900",
+        "select distinct e.age from e in Employees where e.age > 60",
+        "traverse(m in { x | x <- Managers, x.level = 1 } over boss depth <= 3)",
+        "size(Employees)",
+    ]
+    return db, queries
+
+
+def generated_corpus(seeds: int = 20, per_seed: int = 20):
+    """(database, queries) pairs from the metatheory generators."""
+    for seed in range(seeds):
+        rng = random.Random(21_000 + seed)
+        schema = make_random_schema(rng)
+        ee, oe, supply = make_random_store(schema, rng)
+        db = Database(schema)
+        db.ee, db.oe = ee, oe
+        db.supply = supply
+        gen = QueryGenerator(schema, oe, rng, max_depth=4)
+        yield db, [gen.query(gen.random_type()) for _ in range(per_seed)]
+
+
+@pytest.fixture
+def flight():
+    RECORDER.clear()
+    yield RECORDER
+    RECORDER.clear()
+
+
+def cap_events(recorder) -> list[dict]:
+    return [e for e in recorder.events() if e["category"] == "optimize-cap"]
+
+
+def refires(db, queries) -> list[tuple[str, list[str]]]:
+    """Each query whose optimized form still rewrites, with the rules."""
+    out = []
+    for q in queries:
+        q = db.parse(q) if isinstance(q, str) else q
+        model = CostModel.from_database(db)
+        once = optimize(db, q, cost_rules(model), model=model)
+        again = optimize(db, once.query, cost_rules(model), model=model)
+        if again.changed:
+            out.append((pretty(q), again.rules_fired()))
+    return out
+
+
+class TestFixpoint:
+    """Optimizing the optimizer's output fires no rule, and no query of
+    the corpora needs the pass cap."""
+
+    def test_differential_corpus(self, flight):
+        db = build_db()
+        assert refires(db, corpus()) == []
+        assert cap_events(flight) == []
+
+    def test_generated_corpus(self, flight):
+        for db, queries in generated_corpus():
+            assert refires(db, queries) == []
+        assert cap_events(flight) == []
+
+    def test_benchmark_read_shapes(self, flight):
+        db, queries = perf_db()
+        assert refires(db, queries) == []
+        assert cap_events(flight) == []
+        for src in queries:
+            got = db.run(src, commit=False)
+            want = db.run(src, commit=False, engine="bigstep")
+            assert got.value == want.value, src
+
+    def test_join_ordering_fires_with_several_predicates(self):
+        # three generators, three predicates (the corpus's kind 3)
+        db = build_db()
+        src = (
+            "{ struct(a: e.salary, b: t.n) | e <- Emps, d <- Depts, "
+            "t <- Tags, e.dept = d.id, d.grp = 1, t.n < 3 }"
+        )
+        res = optimize_with_costs(db, db.parse(src))
+        assert "reorder-generators" in res.rules_fired()
+        got = db.run(src, commit=False)
+        assert got.engine == "compiled"
+        assert got.value == db.run(src, commit=False, engine="bigstep").value
+
+
+ONE_TO_TWO = Rule(
+    "one-to-two", lambda rc, q: IntLit(2) if q == IntLit(1) else None
+)
+TWO_TO_ONE = Rule(
+    "two-to-one", lambda rc, q: IntLit(1) if q == IntLit(2) else None
+)
+
+
+class TestPassCap:
+    """Only a rule set that oscillates reaches the cap, and it says so."""
+
+    def test_cap_recorded(self, db, flight):
+        q = db.parse("{" + ", ".join(["1"] * 150) + "}")
+        optimize(db, q, (ONE_TO_TWO, TWO_TO_ONE))
+        (ev,) = cap_events(flight)
+        assert ev["passes"] == _MAX_PASSES
+        assert ev["last_rule"] == "two-to-one"
+        # pretty-printed, and cut short
+        assert pretty(q).startswith(ev["query"])
+        assert len(ev["query"]) < len(pretty(q))

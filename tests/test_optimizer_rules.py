@@ -151,6 +151,27 @@ class TestComprehensionRules:
         src = "{p | x <- {1, 2}, p <- Persons, p.shout() > 0}"
         assert PRED_PUSHDOWN.apply(rc, q(db, src)) is None
 
+    def test_pushdown_never_swaps_predicates(self, rc, db):
+        src = '{p.name | p <- Persons, p.age >= 2, p.name = "a"}'
+        assert PRED_PUSHDOWN.apply(rc, q(db, src)) is None
+
+    def test_pushdown_keeps_predicate_order(self, rc, db):
+        # x <- X, y <- Y, P(x), Q(x)  →  x <- X, P(x), Q(x), y <- Y
+        comp = "{struct(a: p, b: x) | p <- Persons, "
+        start = q(db, comp + 'x <- {1, 2}, p.age < 3, p.name = "a"}')
+        once = PRED_PUSHDOWN.apply(rc, start)
+        assert once == q(db, comp + 'p.age < 3, x <- {1, 2}, p.name = "a"}')
+        twice = PRED_PUSHDOWN.apply(rc, once)
+        assert twice == q(db, comp + 'p.age < 3, p.name = "a", x <- {1, 2}}')
+        assert PRED_PUSHDOWN.apply(rc, twice) is None
+
+    def test_pushdown_crosses_generators_behind_a_barrier(self, rc, db):
+        # a method call may diverge: the pushed predicate lands after it
+        src = "{p | p <- Persons, p.shout() > 0, x <- {1}, p.age < 3}"
+        out = PRED_PUSHDOWN.apply(rc, q(db, src))
+        assert out == q(db, "{p | p <- Persons, p.shout() > 0, p.age < 3, x <- {1}}")
+        assert PRED_PUSHDOWN.apply(rc, out) is None
+
 
 class TestUnnest:
     def test_flattens_nested_comprehension(self, rc, db):
