@@ -127,18 +127,18 @@ class Database:
         # optimizer v2; maintained by the same Theorem 5 effect logic
         # as the caches (see _note_write)
         self._stats = StatisticsCatalog()
+        # hash-sharded extents (repro.db.shards): empty = every path
+        # behaves exactly as the unsharded database
+        self._shards = ShardedExtents()
         # every structure derived from EE/OE, maintained by one rule
         self._derived = (
             self._plan_cache, self._indexes, self._closure_indexes,
-            self._stats,
+            self._stats, self._shards,
         )
         # adaptive replanning: re-optimize mid-query when an observed
         # source cardinality diverges from the estimate by this factor
         # (None/0 disables the guards entirely)
         self.replan_ratio: float | None = 4.0
-        # hash-sharded extents (repro.db.shards): empty = every path
-        # behaves exactly as the unsharded database
-        self._shards = ShardedExtents()
         self.ee = ExtentEnv.for_schema(schema)
         self.oe = ObjectEnv()
         self.supply = OidSupply()
@@ -274,7 +274,7 @@ class Database:
             self._oe = value
 
     def _note_write(
-        self, effect: Effect, pre: int, adds=None, shard_writes=None
+        self, effect: Effect, pre: int, adds=None, shard_adds=None
     ) -> None:
         """Effect-guided maintenance of every derived structure.
 
@@ -284,7 +284,8 @@ class Database:
         unaffected: it is promoted to the new store version (see
         :func:`repro.db.store.apply_commit`).  Affected entries are
         evicted, or folded forward where ``adds`` (extent → newly added
-        oids) allows.  Compiled plans hold no store data and stay.
+        oids) and ``shard_adds`` (the same, bucketed by shard) allow.
+        Compiled plans hold no store data and stay.
         State changes with *unknown* effects (restore, persistence
         load, rollback, a replica's applied record) never reach this
         method — their version bump alone lazily invalidates every
@@ -295,7 +296,7 @@ class Database:
             return
         commit = Commit(
             effect, pre, post, self.schema, self._ee, self._oe,
-            adds, shard_writes,
+            adds, shard_adds,
         )
         for derived in self._derived:
             derived.note_write(commit)
@@ -499,10 +500,9 @@ class Database:
         2. the additive ``delta`` WAL record becomes durable (a failed
            append aborts the commit the same way);
         3. OE then EE install (the documented reader discipline);
-        4. the staged per-shard partitions swap in under their new
-           per-shard versions, and the derived structures are
-           maintained with the exact adds and ``(class, shard)`` pairs
-           written.
+        4. every derived structure, the shard partitions included, is
+           maintained with the exact adds, per extent and per shard:
+           a partition folds the adds into its touched shards.
         """
         from repro.db import recovery as _recovery
 
@@ -511,6 +511,9 @@ class Database:
             self._shards, self.schema, base_ee, result_ee, result_oe,
             effect.adds(),
         )
+        for extent in sorted(shard_adds):
+            for _shard in sorted(shard_adds[extent]):
+                maybe_fault("shard.install")
         cur_ee, cur_oe = self._ee, self._oe
         if cur_ee is base_ee and cur_oe is base_oe:
             new_ee, new_oe = result_ee, result_oe
@@ -530,7 +533,6 @@ class Database:
                     new_ee = new_ee.with_members(
                         extent, cur_ee.members(extent) | added
                     )
-        staged = self._shards.prepare_install(pre, shard_adds)
         if self._wal is not None:
             rec = _recovery.delta_record(
                 self, stmt, effect, extent_adds, shard_adds, result_oe
@@ -538,15 +540,8 @@ class Database:
             self._mark_written(self._wal.append(rec), rec)
         self.oe = new_oe
         self.ee = new_ee
-        self._shards.commit_staged(staged, shard_adds, self._state_version)
         self._note_write(
-            effect,
-            pre,
-            adds=extent_adds,
-            shard_writes={
-                self.schema.extent_class(extent): frozenset(per)
-                for extent, per in shard_adds.items()
-            },
+            effect, pre, adds=extent_adds, shard_adds=shard_adds
         )
 
     def _wal_log_unattributed(self, stmt: str) -> None:
@@ -743,13 +738,19 @@ class Database:
 
     def determinism_witnesses(self, source: str | Query) -> list[Interference]:
         """⊢′ analysis: the (possibly empty) interference witnesses."""
-        _, _, witnesses = analyze_determinism(
+        return self._determinism(source)[2]
+
+    def _determinism(
+        self, source: str | Query
+    ) -> tuple[Type, Effect, list[Interference]]:
+        """One ⊢′ derivation: ``(type, effect, witnesses)``.  ⊢′ is
+        Figure 3 plus the (Comp2′) observer, so the effect is Figure 3's."""
+        return analyze_determinism(
             self.schema,
             self.parse(source),
             defs=self._def_types,
             var_types=self.oid_types(),
         )
-        return witnesses
 
     def is_deterministic(self, source: str | Query) -> bool:
         """Theorem 7's premise: does ⊢′ accept the query?"""
@@ -1126,9 +1127,9 @@ class Database:
             # plans compiled without the spec carry no pruning stage;
             # recompiling is cheap and the layout change is rare
             self._plan_cache.clear()
-            # closure indexes record partition signatures; a new layout
-            # invalidates them wholesale rather than lazily per lookup
-            self._closure_indexes.clear()
+            # index partials are keyed by shard id, and a new layout
+            # reuses the ids at the same store version
+            self._indexes.clear()
         return spec
 
     def explain_cost(self, source: str | Query) -> "QueryProfile":

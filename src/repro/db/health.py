@@ -112,21 +112,18 @@ def collect(db: "Database") -> dict:
     }
 
 
-def _optimizer_section(db: "Database") -> dict | None:
+def _optimizer_section(db: "Database") -> dict:
     """The ``"optimizer"`` stanza: stats catalog state and replans."""
-    stats = getattr(db, "_stats", None)
-    if stats is None:
-        return None
-    snap = stats.snapshot()
-    snap["replans"] = db._qstats.get("replans", 0)
-    snap["replan_ratio"] = getattr(db, "replan_ratio", None)
+    snap = db._stats.snapshot()
+    snap["replans"] = db._qstats["replans"]
+    snap["replan_ratio"] = db.replan_ratio
     return snap
 
 
 def _sharding_section(db: "Database") -> dict | None:
     """The ``"sharding"`` stanza: layout, skew, installs, pool usage."""
-    shards = getattr(db, "_shards", None)
-    if shards is None or not shards.enabled:
+    shards = db._shards
+    if not shards.enabled:
         return None
     from repro.exec import parallel as _parallel
 

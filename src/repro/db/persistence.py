@@ -303,8 +303,8 @@ def dump_database(db: Database, odl_source: str) -> dict:
         "method_mode": db.method_mode.value,
         **encode_state(db.ee, db.oe, db.definitions.values()),
     }
-    shards = getattr(db, "_shards", None)
-    if shards is not None and shards.enabled:
+    shards = db._shards
+    if shards.enabled:
         # layout only — the partition itself is recomputed on load.
         # Shard declarations travel in checkpoints, not the WAL, so a
         # WAL-only recovery must re-declare (see Database.shard).

@@ -8,9 +8,10 @@ system are untouched (a sharded run must be ``≡`` the unsharded run),
 but three things get finer-grained:
 
 * **commits** — the one ``A``-only install path buckets a commit's
-  adds by shard and swaps in new frozensets for exactly the touched
-  shards, under per-shard install versions (``shard.install`` fault
-  site);
+  adds by shard (``shard.install`` fault site, per touched shard), and
+  the partitions are derived state maintained like every other derived
+  table: the commit's adds fold into exactly the touched shards, under
+  per-shard install versions, and every other partition is promoted;
 * **execution** — the compiled engine prunes equality-constrained scans
   to one shard and fans full scans out per-shard on a worker pool
   (:mod:`repro.exec.parallel`);
@@ -32,6 +33,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 
+from repro.db.store import Commit, apply_commit
 from repro.errors import ReproError
 from repro.lang.ast import (
     BoolLit,
@@ -51,7 +53,6 @@ from repro.lang.ast import (
     Var,
 )
 from repro.lang.traversal import walk
-from repro.resilience.faults import maybe_fault
 
 _PRIM_LITS = (IntLit, BoolLit, StrLit)
 
@@ -100,13 +101,10 @@ class ShardedExtents:
     """The registry of shard specs plus the cached physical partitions.
 
     A partition is a tuple of ``k`` frozensets whose union is the
-    extent's membership, cached against the store version with the same
-    validate-or-rebuild discipline as
-    :class:`repro.db.store.AttributeIndexes`.  ``A``-only commits
-    install by *merging* new frozensets for exactly the touched shards
-    (:meth:`prepare_install` / :meth:`commit_staged`), so untouched
-    shards keep their object identity — which downstream caches use as
-    a free validity token.
+    extent's membership, kept as a version-led ``(version, parts)``
+    entry: built lazily on a miss, and maintained across commits by
+    :meth:`note_write` with the same Theorem 5 rule as every other
+    derived table (:func:`repro.db.store.apply_commit`).
     """
 
     def __init__(self) -> None:
@@ -184,62 +182,35 @@ class ShardedExtents:
             self.rebuilds += 1
         return parts
 
-    # -- per-shard installs (A-only commits) -----------------------------
-    def prepare_install(
-        self, pre_version: int, shard_adds: dict[str, dict[int, set[str]]]
-    ) -> dict[str, tuple[frozenset[str], ...] | None]:
-        """Stage the post-commit partitions for the touched shards.
+    # -- Theorem 5 maintenance (A-only commits fold, the rest promote) ---
+    def note_write(self, c: Commit) -> None:
+        """Fold an ``A``-only commit's per-shard adds into its partitions.
 
-        Fires the ``shard.install`` fault site once per touched shard
-        *before* anything durable or visible happens: an injected fault
-        here aborts the whole commit with nothing logged and nothing
-        installed, which is exactly the atomicity the per-shard install
-        must preserve.  Returns the staged parts per extent (``None``
-        when the cached partition is stale and will rebuild lazily).
-        Caller must hold the database commit lock.
+        A partition is touched when the commit added to its extent: the
+        commit's per-shard adds are unioned into exactly the shards they
+        landed in, so untouched shards keep their frozensets, and the
+        touched shards' install counters advance.  Every other
+        partition is promoted (:func:`repro.db.store.apply_commit`).
         """
-        for extent in sorted(shard_adds):
-            if extent in self.specs:
-                for _shard in sorted(shard_adds[extent]):
-                    maybe_fault("shard.install")
-        staged: dict[str, tuple[frozenset[str], ...] | None] = {}
-        with self._lock:
-            for extent in sorted(shard_adds):
-                spec = self.specs.get(extent)
-                if spec is None:
-                    continue
-                hit = self._parts.get(extent)
-                if hit is not None and hit[0] == pre_version:
-                    parts = list(hit[1])
-                    for shard, added in shard_adds[extent].items():
-                        # a fresh frozenset only for touched shards: the
-                        # untouched ones keep identity (cache token)
-                        parts[shard] = parts[shard] | added
-                    staged[extent] = tuple(parts)
-                else:
-                    staged[extent] = None
-        return staged
 
-    def commit_staged(
-        self,
-        staged: dict[str, tuple[frozenset[str], ...] | None],
-        shard_adds: dict[str, dict[int, set[str]]],
-        post_version: int,
-    ) -> None:
-        """Swap the staged partitions in after the state installed."""
+        def fold(extent, entry):
+            per = None if c.shard_adds is None else c.shard_adds.get(extent)
+            if per is None:
+                return None
+            parts = list(entry[1])
+            for shard, added in per.items():
+                parts[shard] = parts[shard] | added
+            return (c.post, tuple(parts))
+
         with self._lock:
-            for extent, parts in staged.items():
-                spec = self.specs.get(extent)
-                if spec is None:
-                    continue
-                if parts is None:
-                    self._parts.pop(extent, None)
-                else:
-                    self._parts[extent] = (post_version, parts)
-                vs = self._versions.setdefault(extent, [0] * spec.k)
-                for shard in shard_adds.get(extent, {}):
-                    if 0 <= shard < len(vs):
-                        vs[shard] += 1
+            apply_commit(
+                self._parts, c, lambda extent, _: extent in c.extents,
+                fold=fold,
+            )
+            for extent, per in (c.shard_adds or {}).items():
+                versions = self._versions[extent]
+                for shard in per:
+                    versions[shard] += 1
                 self.installs += 1
 
     # -- health ----------------------------------------------------------

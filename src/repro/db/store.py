@@ -266,8 +266,9 @@ class Commit:
     ``effect``, so nothing outside ``effect.writes()`` changed between
     store versions ``pre`` and ``post``.  ``adds`` maps each touched
     extent to the oids that joined it when the commit path knows them
-    (``A``-only commits); ``shard_writes`` maps each sharded class to
-    the exact shard ids written.  ``ee``/``oe`` are the post-state.
+    (``A``-only commits); ``shard_adds`` holds the same oids bucketed
+    by shard, for sharded extents only.  ``ee``/``oe`` are the
+    post-state.
     """
 
     effect: "Effect"
@@ -277,7 +278,7 @@ class Commit:
     ee: "ExtentEnv"
     oe: "ObjectEnv"
     adds: Mapping[str, frozenset[str]] | None = None
-    shard_writes: Mapping[str, frozenset[int]] | None = None
+    shard_adds: Mapping[str, Mapping[int, set[str]]] | None = None
 
     @cached_property
     def extents(self) -> frozenset[str]:
@@ -289,6 +290,16 @@ class Commit:
             except Exception:
                 continue  # extent-less class: no extent changed
         return frozenset(out)
+
+    @cached_property
+    def shard_writes(self) -> Mapping[str, frozenset[int]] | None:
+        """Each sharded class written, with the exact shard ids."""
+        if self.shard_adds is None:
+            return None
+        return {
+            self.schema.extent_class(extent): frozenset(per)
+            for extent, per in self.shard_adds.items()
+        }
 
 
 def apply_commit(
@@ -336,31 +347,27 @@ def apply_commit(
 class AttributeIndexes:
     """Per-(extent, attribute) hash indexes over the current EE/OE.
 
-    Built lazily the first time a compiled hash join asks for one, and
-    validated against the database's store version: an index built at
-    version ``v`` answers only while the store is still at ``v``.
-    Committed writes with a known effect *promote* unaffected indexes
-    to the new version (an ``A(C)`` write can only change the extent of
-    ``C`` — extents are per-class); ``U`` atoms rewrite attribute
-    values, so every index is dropped.  Unattributed state changes
-    (restore, persistence load, rollback) advance the version without a
-    promotion, lazily invalidating everything — the safe default.
+    One table keyed ``(extent, attr, shard)`` of version-led
+    ``(version, index)`` entries.  ``shard=None`` is the whole-extent
+    index; a sharded extent also keeps one partial per shard, and its
+    whole-extent index is the merge of its partials, so a commit that
+    touches one shard rebuilds only that shard's partial.  Entries are
+    built lazily the first time a compiled hash join (or a pruned
+    probe) asks for one, and answer only at the store version they are
+    stamped with.  :func:`apply_commit` maintains the table: an
+    ``A(C)`` write touches the indexes of ``C``'s extent (a partial
+    only when the write added to its shard) and promotes the rest;
+    ``U`` atoms rewrite attribute values, so every index is dropped.
+    Unattributed state changes (restore, persistence load, rollback)
+    advance the version without a promotion, lazily invalidating
+    everything — the safe default.  Shard ids key partials, so a
+    re-declared layout must :meth:`clear` the table.
     """
 
     def __init__(self):
         self._indexes: dict[
-            tuple[str, str], tuple[int, dict[Query, tuple[OidRef, ...]]]
-        ] = {}
-        # sharded extents build the index as per-shard partials so a
-        # per-shard commit only rebuilds the touched shards' pieces:
-        # key -> (parts tuple, [partial per shard], merged index).
-        # Validity is object *identity* on the partition frozensets —
-        # every partition rebuild makes fresh frozensets, and an A-only
-        # install reuses only untouched shards, whose member records an
-        # A-only commit cannot have changed.
-        self._sharded: dict[
-            tuple[str, str],
-            tuple[tuple, list, dict[Query, tuple[OidRef, ...]]],
+            tuple[str, str, int | None],
+            tuple[int, dict[Query, tuple[OidRef, ...]]],
         ] = {}
         # concurrent scheduled readers share the index table; a build
         # and a promotion must not interleave on the same key
@@ -369,6 +376,17 @@ class AttributeIndexes:
     def __len__(self) -> int:
         with self._lock:
             return len(self._indexes)
+
+    def _lookup(
+        self, key, version: int, build
+    ) -> dict[Query, tuple[OidRef, ...]]:
+        with self._lock:
+            hit = self._indexes.get(key)
+            if hit is not None and hit[0] == version:
+                return hit[1]
+            idx = build()
+            self._indexes[key] = (version, idx)
+            return idx
 
     def get(
         self,
@@ -380,20 +398,25 @@ class AttributeIndexes:
         shards=None,
     ) -> dict[Query, tuple[OidRef, ...]]:
         """The index for ``extent`` keyed by ``attr`` at ``version``."""
-        key = (extent, attr)
-        if shards is not None:
-            parts = shards.partition(extent, ee, oe, version)
-            if parts is not None:
-                return self._get_sharded(key, parts, oe, attr)
-        with self._lock:
-            hit = self._indexes.get(key)
-            if hit is not None and hit[0] == version:
-                return hit[1]
-            from repro.exec.runtime import build_attr_index
+        from repro.exec.runtime import build_attr_index
 
-            idx = build_attr_index(oe, ee.members(extent), attr)
-            self._indexes[key] = (version, idx)
-            return idx
+        def build():
+            parts = (
+                None
+                if shards is None
+                else shards.partition(extent, ee, oe, version)
+            )
+            if parts is None:
+                return build_attr_index(oe, ee.members(extent), attr)
+            merged: dict[Query, tuple[OidRef, ...]] = {}
+            for shard, part in enumerate(parts):
+                partial = self._partial(oe, version, extent, attr, shard, part)
+                for value, refs in partial.items():
+                    have = merged.get(value)
+                    merged[value] = refs if have is None else have + refs
+            return merged
+
+        return self._lookup((extent, attr, None), version, build)
 
     def get_shard(
         self,
@@ -416,83 +439,47 @@ class AttributeIndexes:
         parts = shards.partition(extent, ee, oe, version)
         if parts is None:
             return None
-        return self._get_sharded((extent, attr), parts, oe, attr, shard=shard)
+        return self._partial(oe, version, extent, attr, shard, parts[shard])
 
-    def _get_sharded(
-        self,
-        key: tuple[str, str],
-        parts: tuple,
-        oe: "ObjectEnv",
-        attr: str,
-        shard: int | None = None,
+    def _partial(
+        self, oe: "ObjectEnv", version: int, extent: str, attr: str,
+        shard: int, members: frozenset[str],
     ) -> dict[Query, tuple[OidRef, ...]]:
-        """Per-shard partials, rebuilt lazily and only when stale.
-
-        ``shard=None`` returns the merged full index (building every
-        missing partial); a specific ``shard`` returns just that
-        partial.  ``merged`` is built from the partials of the *same*
-        parts tuple, so it can never be stale while the identity check
-        holds; it is dropped (set to ``None``) whenever the parts
-        change.
-        """
         from repro.exec.runtime import build_attr_index
 
-        with self._lock:
-            hit = self._sharded.get(key)
-            if hit is not None and hit[0] is parts:
-                _, partials, merged = hit
-            else:
-                old_parts = hit[0] if hit is not None else ()
-                old_partials = hit[1] if hit is not None else []
-                partials = [
-                    old_partials[i]
-                    if i < len(old_parts) and old_parts[i] is part
-                    else None
-                    for i, part in enumerate(parts)
-                ]
-                merged = None
-            if shard is not None:
-                if partials[shard] is None:
-                    partials[shard] = build_attr_index(
-                        oe, parts[shard], attr
-                    )
-                self._sharded[key] = (parts, partials, merged)
-                return partials[shard]
-            for i, part in enumerate(parts):
-                if partials[i] is None:
-                    partials[i] = build_attr_index(oe, part, attr)
-            if merged is None:
-                merged = {}
-                for partial in partials:
-                    for value, refs in partial.items():
-                        have = merged.get(value)
-                        merged[value] = (
-                            refs if have is None else have + refs
-                        )
-            self._sharded[key] = (parts, partials, merged)
-            return merged
+        return self._lookup(
+            (extent, attr, shard), version,
+            lambda: build_attr_index(oe, members, attr),
+        )
 
     def note_write(self, c: Commit) -> None:
-        """Theorem 5 maintenance: evict indexes on written extents."""
+        """Theorem 5 maintenance: evict indexes on written extents (a
+        partial only when its shard was written), promote the rest."""
+
+        def touched(key, _) -> bool:
+            extent, _, shard = key
+            if extent not in c.extents:
+                return False
+            per = None if c.shard_adds is None else c.shard_adds.get(extent)
+            return shard is None or per is None or shard in per
+
         with self._lock:
-            if c.effect.updates():
-                self._sharded.clear()
-            apply_commit(self._indexes, c, lambda key, _: key[0] in c.extents)
+            apply_commit(self._indexes, c, touched)
 
     def clear(self) -> None:
         with self._lock:
             self._indexes.clear()
-            self._sharded.clear()
 
     def snapshot(self) -> dict[str, int]:
-        """``{"Extent.attr": built_at_version}`` for every live index."""
+        """``{"Extent.attr": built_at_version}`` for every live index,
+        ``"Extent.attr#shard"`` for a shard's partial."""
         with self._lock:
-            return {
-                f"{extent}.{attr}": version
-                for (extent, attr), (version, _) in sorted(
-                    self._indexes.items()
-                )
+            labels = {
+                f"{extent}.{attr}" + ("" if shard is None else f"#{shard}"):
+                    version
+                for (extent, attr, shard), (version, _) in self._indexes.items()
             }
+        return dict(sorted(labels.items()))
 
 
 class ClosureIndex:
@@ -720,14 +707,13 @@ class ClosureIndexes:
     cone contains ``C`` (a new ``C`` object joins their node set) and
     promotes every other index to the new version; ``U`` atoms rewrite
     reference values anywhere, so everything drops — the Theorem 5
-    bound, verbatim.  Sharded stores additionally pin each index to the
-    partition identities it was built over, so a per-shard install or a
-    re-declared layout forces a rebuild per (class, shard) generation.
+    bound, verbatim.  An index is built from EE/OE alone, so a shard
+    layout does not affect it.
     """
 
     def __init__(self):
         self._indexes: dict[
-            tuple[str, frozenset[str]], tuple[int, tuple | None, ClosureIndex]
+            tuple[str, frozenset[str]], tuple[int, ClosureIndex]
         ] = {}
         self.rebuilds = 0
         self._lock = threading.RLock()
@@ -735,22 +721,6 @@ class ClosureIndexes:
     def __len__(self) -> int:
         with self._lock:
             return len(self._indexes)
-
-    def _parts_sig(
-        self, schema: Schema, ee, oe, version: int, classes: frozenset[str], shards
-    ) -> tuple | None:
-        if shards is None:
-            return None
-        sig = []
-        for cname in sorted(classes):
-            try:
-                extent = schema.class_extent(cname)
-            except Exception:
-                continue
-            parts = shards.partition(extent, ee, oe, version)
-            if parts is not None:
-                sig.append((extent, parts))
-        return tuple(sig) or None
 
     def get(
         self,
@@ -760,17 +730,15 @@ class ClosureIndexes:
         version: int,
         attr: str,
         classes: frozenset[str],
-        shards=None,
     ) -> ClosureIndex:
         """The interval index for ``attr`` over ``classes`` at ``version``."""
         key = (attr, classes)
-        sig = self._parts_sig(schema, ee, oe, version, classes, shards)
         with self._lock:
             hit = self._indexes.get(key)
-            if hit is not None and hit[0] == version and _same_parts(hit[1], sig):
-                return hit[2]
+            if hit is not None and hit[0] == version:
+                return hit[1]
             idx = build_closure_index(schema, ee, oe, attr, classes)
-            self._indexes[key] = (version, sig, idx)
+            self._indexes[key] = (version, idx)
             self.rebuilds += 1
             return idx
 
@@ -779,18 +747,14 @@ class ClosureIndexes:
         writes = c.effect.writes()
         with self._lock:
             apply_commit(
-                self._indexes, c, lambda _, entry: writes & entry[2].classes
+                self._indexes, c, lambda _, entry: writes & entry[1].classes
             )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._indexes.clear()
 
     def snapshot(self) -> dict[str, dict]:
         """``{"attr over {classes}": {...}}`` for the health surface."""
         with self._lock:
             out: dict[str, dict] = {}
-            for (attr, classes), (version, _sig, idx) in sorted(
+            for (attr, classes), (version, idx) in sorted(
                 self._indexes.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))
             ):
                 label = f"{attr} over {{{', '.join(sorted(classes))}}}"
@@ -801,15 +765,6 @@ class ClosureIndexes:
                     "usable": idx.usable,
                 }
             return out
-
-
-def _same_parts(a: tuple | None, b: tuple | None) -> bool:
-    """Partition signatures match by *identity* of each parts tuple."""
-    if a is None or b is None:
-        return a is b
-    if len(a) != len(b):
-        return False
-    return all(ea == eb and pa is pb for (ea, pa), (eb, pb) in zip(a, b))
 
 
 class OidSupply:

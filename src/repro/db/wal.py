@@ -54,7 +54,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ReproError
 from repro.obs import flight as _flight
@@ -360,11 +360,6 @@ def read_records(path: str) -> list[dict]:
     if error is not None:
         raise error
     return records
-
-
-def iter_records(path: str) -> Iterator[dict]:
-    """Iterate :func:`read_records` (strict)."""
-    return iter(read_records(path))
 
 
 def truncate_to(path: str, valid_bytes: int) -> None:

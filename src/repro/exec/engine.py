@@ -70,10 +70,7 @@ def decide(db, q: Query, eff: Effect) -> PlanDecision:
 
 def _stats_stale(db, entry: PlanEntry) -> bool:
     """Has the statistics epoch drifted since ``entry`` was costed?"""
-    catalog = getattr(db, "_stats", None)
-    if catalog is None:
-        return False
-    return entry.stats_epoch != catalog.observe(db.ee)
+    return entry.stats_epoch != db._stats.observe(db.ee)
 
 
 def _plan(db, q: Query, *, profile: bool = False, overrides=None):
@@ -105,7 +102,7 @@ def _plan(db, q: Query, *, profile: bool = False, overrides=None):
             method_fuel=db.machine.method_fuel,
             profile=profile,
             cost_model=model,
-            shards=getattr(db, "_shards", None),
+            shards=db._shards,
         )
     except NotCompilable as exc:
         return model, optimized, None, f"not compilable: {exc}"
@@ -137,10 +134,9 @@ def route_read(db, q: Query, eff: Effect, **run_kw):
     replica qualifies (the caller degrades to the primary: counted,
     never wrong).
     """
-    replicas = getattr(db, "_replicas", None)
-    if replicas is None or eff.writes():
+    if db._replicas is None or eff.writes():
         return None
-    return replicas.try_serve(q, eff, **run_kw)
+    return db._replicas.try_serve(q, eff, **run_kw)
 
 
 def execute_plan(
@@ -169,7 +165,7 @@ def execute_plan(
     start, so a budget can overshoot by at most one aborted attempt.
     """
     pinned = ee is not None or oe is not None
-    ratio = getattr(db, "replan_ratio", None)
+    ratio = db.replan_ratio
     for attempt in (0, 1):
         ctx = _context(db, budget=budget, ee=ee, oe=oe)
         if attempt == 0 and not pinned and ratio:
@@ -219,7 +215,7 @@ def _context(db, *, budget=None, ee=None, oe=None) -> ExecContext:
         budget=budget,
         indexes=None if pinned else db._indexes,
         state_version=-1 if pinned else db._state_version,
-        shards=None if pinned else getattr(db, "_shards", None),
+        shards=None if pinned else db._shards,
         closure_indexes=None if pinned else db._closure_indexes,
     )
 
@@ -251,9 +247,7 @@ def _replan_entry(db, entry: PlanEntry, sig) -> None:
         ops=plan.ops,
     )
     entry.stats_epoch = model.stats_epoch
-    qstats = getattr(db, "_qstats", None)
-    if qstats is not None and "replans" in qstats:
-        qstats["replans"] += 1
+    db._qstats["replans"] += 1
     if _OBS.enabled:
         _METRICS.counter("exec_replans_total").inc()
     _flight.record(

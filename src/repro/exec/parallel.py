@@ -52,10 +52,6 @@ def _get_pool() -> ThreadPoolExecutor:
     return _pool
 
 
-def worker_count() -> int:
-    return _MAX_WORKERS
-
-
 def should_parallelize(rows: int, parts: int) -> bool:
     """Fan out only when the extent is big enough to amortise overhead."""
     return parts > 1 and rows >= MIN_ROWS

@@ -457,13 +457,7 @@ class ExecContext:
             for cname in {self.oe.get(o).cname for o in start}:
                 cone |= closure_read_set(self.schema, cname, attr)
         idx = self.closure_indexes.get(
-            self.schema,
-            self.ee,
-            self.oe,
-            self.state_version,
-            attr,
-            cone,
-            shards=self.shards,
+            self.schema, self.ee, self.oe, self.state_version, attr, cone
         )
         result = None
         if extent is not None:

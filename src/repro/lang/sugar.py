@@ -27,7 +27,6 @@ the encoding is untypable in general; use the library API instead.
 from __future__ import annotations
 
 from repro.lang.ast import (
-    BoolLit,
     Comp,
     Gen,
     If,
@@ -89,8 +88,3 @@ def select(
 def is_empty(source: Query) -> Query:
     """``source = {}`` as a size test (no polymorphic ``=`` on sets)."""
     return PrimEq(IntLit(0), Size(source))
-
-
-def bool_to_query(b: bool) -> BoolLit:
-    """Lift a Python bool into the AST."""
-    return TRUE if b else FALSE

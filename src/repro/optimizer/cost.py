@@ -92,11 +92,8 @@ class BoundStats:
 
     def column(self, extent: str, attr: str):
         db = self._db
-        catalog = getattr(db, "_stats", None)
-        if catalog is None:
-            return None
         try:
-            return catalog.column(
+            return db._stats.column(
                 db.ee, db.oe, db._state_version, extent, attr
             )
         except Exception:
@@ -127,10 +124,8 @@ class CostModel:
         model = CostModel(
             {e: len(db.ee.members(e)) for e in db.ee.names()}
         )
-        catalog = getattr(db, "_stats", None)
-        if catalog is not None:
-            model.stats_epoch = catalog.observe(db.ee)
-            model.stats = BoundStats(db)
+        model.stats_epoch = db._stats.observe(db.ee)
+        model.stats = BoundStats(db)
         return model
 
     # -- attribute resolution ---------------------------------------------

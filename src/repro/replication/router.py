@@ -150,8 +150,8 @@ class ReplicaSet:
             oe.get(n.name).cname for n in walk(q) if isinstance(n, OidRef)
         )
         shard_reads = None
-        shards = getattr(self.db, "_shards", None)
-        if shards is not None and shards.enabled:
+        shards = self.db._shards
+        if shards.enabled:
             try:
                 from repro.db.shards import static_read_shards
 
@@ -196,10 +196,9 @@ class ReplicaSet:
             )
         _flight.record("replica-degrade", reason=reason)
 
-    def try_serve(
-        self, q, eff: Effect, **run_kw
-    ) -> "EvalResult | None":
-        """Serve one live routed read, or ``None`` to degrade."""
+    def _choose(self, q, eff: Effect, reason: str) -> Replica | None:
+        """A replica covering ``q``, or ``None`` with the degrade
+        counted under ``reason``."""
         if self._closed:
             return None
         required = self.db.write_marks()
@@ -211,7 +210,15 @@ class ReplicaSet:
             self.poll()
             pick = self._pick(required, classes, shard_reads)
         if pick is None:
-            self._degrade("no-fresh-replica")
+            self._degrade(reason)
+        return pick
+
+    def try_serve(
+        self, q, eff: Effect, **run_kw
+    ) -> "EvalResult | None":
+        """Serve one live routed read, or ``None`` to degrade."""
+        pick = self._choose(q, eff, "no-fresh-replica")
+        if pick is None:
             return None
         try:
             result = pick.serve(q, eff, **run_kw)
@@ -230,16 +237,8 @@ class ReplicaSet:
         proves touches only certain shards can pin a replica that is
         behind on the *other* shards of those classes.
         """
-        if self._closed:
-            return None
-        required = self.db.write_marks()
-        classes, shard_reads = self._requirement(q, eff)
-        pick = self._pick(required, classes, shard_reads)
-        if pick is None and self.auto_poll:
-            self.poll()
-            pick = self._pick(required, classes, shard_reads)
+        pick = self._choose(q, eff, "no-pinnable-replica")
         if pick is None:
-            self._degrade("no-pinnable-replica")
             return None
         ee, oe = pick.snapshot_envs()
         return PinnedRead(pick, ee, oe)

@@ -20,7 +20,7 @@ named **sites**:
 ``replica.ship``          a replica's shipper polls the primary's log
 ``replica.apply``         before a shipped record is applied to a replica
 ``failover.promote``      a replica is promoted to primary
-``shard.install``         before one shard's partition install in a commit
+``shard.install``         per touched shard, before the commit is logged
 ``exec.shard``            a per-shard pipeline task starts on the pool
 ``exec.traverse``         a compiled ``traverse`` closure starts chasing
 ========================  =============================================

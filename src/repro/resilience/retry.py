@@ -46,7 +46,8 @@ def replay_decision(db, query, *, rolled_back: bool = False) -> ReplayDecision:
     a parsed query.  ``rolled_back`` says the failed attempt's state
     changes were already undone (a transaction scope was restored).
     """
-    witnesses = db.determinism_witnesses(query)
+    # one ⊢′ derivation gives both the witnesses and Figure 3's effect
+    _, effect, witnesses = db._determinism(query)
     if witnesses:
         return ReplayDecision(
             False,
@@ -54,7 +55,6 @@ def replay_decision(db, query, *, rolled_back: bool = False) -> ReplayDecision:
             + "; ".join(str(w) for w in witnesses)
             + ") — a replay could observe a different schedule",
         )
-    effect = db.effect_of(query)
     if effect.writes() and not rolled_back:
         return ReplayDecision(
             False,

@@ -305,8 +305,8 @@ class QueryScheduler:
             except BaseException as exc:  # noqa: BLE001 - recorded, not lost
                 adm.error = exc
             if adm.ok:
-                shards = getattr(self.db, "_shards", None)
-                if shards is not None and shards.enabled:
+                shards = self.db._shards
+                if shards.enabled:
                     try:
                         from repro.db.shards import (
                             static_read_shards,

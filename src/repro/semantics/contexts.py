@@ -68,11 +68,6 @@ class Decomposition:
     plug: Callable[[Query], Query]
     depth: int = 0
 
-    def is_toplevel(self) -> bool:
-        """True when ℰ = • (the redex is the whole query)."""
-        probe = self.plug(self.redex)
-        return probe is self.redex or probe == self.redex
-
 
 _IDENTITY: Callable[[Query], Query] = lambda q: q
 

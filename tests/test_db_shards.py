@@ -182,8 +182,65 @@ class TestPartitions:
                 assert after[i] is not before[i]
                 assert len(after[i]) == len(before[i]) + 1
             else:
-                # the identity token downstream caches validate against
                 assert after[i] is before[i]
+
+    def test_unsharded_insert_rebuilds_no_partition_or_partial(
+        self, monkeypatch
+    ):
+        db = make_db(k=4)
+        seed(db)
+        join = (
+            "{{ struct(a: {v}.name, b: q.name) | {v} <- Persons, "
+            '{v}.region = "r2", q <- Persons, q.ATTR = {v}.ATTR }}'
+        )
+        texts = [
+            '{{ {v}.name | {v} <- Persons, {v}.region = "r1" }}',
+            # a region self-join probes one shard's partial per key; an
+            # age self-join reads the whole index, the merge of every
+            # partial
+            join.replace("ATTR", "region"),
+            join.replace("ATTR", "age"),
+        ]
+        for src in texts:
+            db.run(src.format(v="p"))
+        rebuilds = db._shards.rebuilds
+        import repro.exec.runtime as runtime
+
+        built = []
+        build = runtime.build_attr_index
+
+        def counted(oe, members, attr):
+            built.append(attr)
+            return build(oe, members, attr)
+
+        monkeypatch.setattr(runtime, "build_attr_index", counted)
+        db.insert("Note", body="elsewhere")
+        for src in texts:  # new texts: no cached result answers them
+            db.run(src.format(v="x"))
+        assert db._shards.rebuilds == rebuilds
+        assert built == []
+
+    def test_redeclared_layout_answers_match_bigstep(self):
+        db = make_db(k=4)
+        seed(db)
+        joins = [
+            "{ struct(a: p.name, b: q.name) | p <- Persons, "
+            f'p.region = "r{i}", q <- Persons, q.region = p.region }}'
+            for i in range(6)
+        ]
+        probes = [
+            f'{{ p.name | p <- Persons, p.region = "r{i}" }}'
+            for i in range(6)
+        ]
+        for src in joins + probes:
+            db.run(src)
+        version = db._state_version
+        # k=2 reuses shard ids 0 and 1 at the same store version
+        db.shard("Person", k=2, by="region")
+        assert db._state_version == version
+        for src in joins + probes:
+            want = db.run(src, engine="bigstep", commit=False).value
+            assert db.run(src).value == want, src
 
     def test_commit_deltas_buckets_added_oids(self):
         db = make_db(k=4)

@@ -1,11 +1,12 @@
 """Every derived structure equals a from-scratch rebuild after every commit.
 
-The database keeps four tables derived from EE/OE — the plan cache's
-results, the attribute indexes, the closure (interval) indexes and the
-column statistics — plus the shard partitions, and maintains all of
-them across commits by one Theorem 5 rule
-(:func:`repro.db.store.apply_commit`): evict what a write touched, fold
-an ``A``-only commit's adds forward where possible, promote the rest.
+The database keeps five tables derived from EE/OE — the plan cache's
+results, the attribute indexes (whole-extent and per-shard partials),
+the closure (interval) indexes, the column statistics and the shard
+partitions — and maintains all of them across commits by one Theorem 5
+rule (:func:`repro.db.store.apply_commit`): evict what a write
+touched, fold an ``A``-only commit's adds forward where possible,
+promote the rest.
 A promotion is a claim that the entry is still exact at the new store
 version.  This suite checks every such claim: it replays the existing
 scheduler, shard, WAL and traverse differential corpora (their own
@@ -47,8 +48,8 @@ from tests.test_wal_differential import _twins as wal_twins
 from tests.traverse_helpers import graph_db
 
 KINDS = (
-    "results", "plans", "attr_indexes", "shard_parts", "closure_indexes",
-    "stats", "oid_types",
+    "results", "plans", "attr_indexes", "attr_partials", "shard_parts",
+    "closure_indexes", "stats", "oid_types",
 )
 
 
@@ -96,31 +97,25 @@ def check_results(db, counts) -> None:
 
 
 def check_attr_indexes(db, counts) -> None:
+    """Every current whole-extent index and per-shard partial equals a
+    fresh build over the extent, or over a fresh split of it."""
     version, ee, oe = db._state_version, db.ee, db.oe
     indexes = db._indexes
     with indexes._lock:
-        plain = list(indexes._indexes.items())
-        sharded = list(indexes._sharded.items())
-    for (extent, attr), (v, idx) in plain:
-        if v == version:
-            fresh = build_attr_index(oe, ee.members(extent), attr)
-            assert _as_sets(idx) == _as_sets(fresh), f"index {extent}.{attr}"
-            counts["attr_indexes"] += 1
-    shards = db._shards
-    for (extent, attr), (parts, partials, merged) in sharded:
-        hit = shards._parts.get(extent)
-        if hit is None or hit[0] != version or hit[1] is not parts:
-            continue  # not the live partition: get() rebuilds it
-        for part, partial in zip(parts, partials):
-            if partial is not None:
-                fresh = build_attr_index(oe, part, attr)
-                assert _as_sets(partial) == _as_sets(fresh), (
-                    f"shard partial of {extent}.{attr}"
-                )
-        if merged is not None:
-            fresh = build_attr_index(oe, ee.members(extent), attr)
-            assert _as_sets(merged) == _as_sets(fresh), f"merged {extent}.{attr}"
-        counts["attr_indexes"] += 1
+        items = list(indexes._indexes.items())
+    for (extent, attr, shard), (v, idx) in items:
+        if v != version:
+            continue
+        members = ee.members(extent)
+        if shard is None:
+            kind, label = "attr_indexes", f"index {extent}.{attr}"
+        else:
+            spec = db._shards.spec(extent)
+            members = db._shards._split(spec, members, oe)[shard]
+            kind, label = "attr_partials", f"partial {extent}.{attr}#{shard}"
+        fresh = build_attr_index(oe, members, attr)
+        assert _as_sets(idx) == _as_sets(fresh), label
+        counts[kind] += 1
 
 
 def check_shard_parts(db, counts) -> None:
@@ -140,7 +135,7 @@ def check_closure_indexes(db, counts) -> None:
     store = db._closure_indexes
     with store._lock:
         items = list(store._indexes.items())
-    for (attr, classes), (v, _sig, idx) in items:
+    for (attr, classes), (v, idx) in items:
         if v != version:
             continue
         fresh = build_closure_index(db.schema, ee, oe, attr, classes)

@@ -378,8 +378,10 @@ class TestClosureIndex:
 
 
 class TestTheorem5Eviction:
-    def warmed(self):
+    def warmed(self, shard_refs: bool = False):
         db = graph_db({"a": "b", "b": "c", "c": None})
+        if shard_refs:
+            db.shard("Ref", k=4)
         db.run("traverse(x in refs over next)", engine="compiled",
                commit=False)
         assert len(db._closure_indexes) == 1
@@ -399,13 +401,18 @@ class TestTheorem5Eviction:
         db.insert("Ref", tag=2, next=leaf)
         assert len(db._closure_indexes) == 0
 
-    def test_add_outside_cone_promotes(self):
-        db = self.warmed()
-        before = db._closure_indexes.rebuilds
+    @pytest.mark.parametrize(
+        "shard_refs", (False, True), ids=("unsharded", "sharded")
+    )
+    def test_add_outside_cone_promotes(self, shard_refs):
+        db = self.warmed(shard_refs)
+        before = (db._closure_indexes.rebuilds, db._shards.rebuilds)
         db.insert("Other", x=1)  # A(Other) is disjoint from the cone
         assert len(db._closure_indexes) == 1
-        db.run("traverse(x in refs over next)", commit=False)
-        assert db._closure_indexes.rebuilds == before  # promoted, not rebuilt
+        # a new text, so the promoted cached result cannot answer it
+        db.run("traverse(y in refs over next)", commit=False)
+        # promoted, not rebuilt: neither the index nor a partition
+        assert (db._closure_indexes.rebuilds, db._shards.rebuilds) == before
 
     def test_update_drops_all(self):
         db = self.warmed()
@@ -438,12 +445,15 @@ class TestTheorem5Eviction:
         model.add(next(iter(oids(res.value) - model)))  # the new Ref oid
         assert oids(res.value) == model
 
-    def test_shard_layout_change_invalidates(self):
+    def test_shard_layout_change_keeps_closure_index(self):
+        # an interval index is built from EE/OE alone, so a new layout
+        # leaves it valid
         db = self.warmed()
+        before = db._closure_indexes.rebuilds
         db.shard("Ref", k=2)
-        assert len(db._closure_indexes) == 0
         res = db.run("traverse(x in refs over next)", commit=False)
         assert oids(res.value) == {"@a", "@b", "@c"}
+        assert db._closure_indexes.rebuilds == before
 
 
 # ---------------------------------------------------------------------------
