@@ -1,4 +1,5 @@
-"""Optimizer v2 benchmark workloads → ``BENCH_opt.json``.
+"""Optimizer v2 benchmark workloads → ``BENCH_opt.json``
+(``BENCH_opt.quick.json`` in quick mode).
 
 Measures the statistics-driven optimizer against the v1 constants-only
 cost model on three gated workloads:
@@ -242,7 +243,11 @@ def main() -> int:
         "p90_bar": P90_BAR,
         "workloads": rows,
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_opt.json")
+    # a quick run never overwrites the committed full-mode report
+    out = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_opt.quick.json" if QUICK else "BENCH_opt.json",
+    )
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

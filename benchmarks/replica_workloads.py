@@ -1,10 +1,11 @@
-"""Replication benchmark workloads → ``BENCH_replica.json``.
+"""Replication benchmark workloads → ``BENCH_replica.json``
+(``BENCH_replica.quick.json`` in quick mode).
 
 Measures what WAL-shipped read replicas buy a scheduled batch: with no
 replicas, every writer serialises behind every earlier read it
 conflicts with (admission order is the law); with replicas attached,
-those same reads are **pinned** — they capture an immutable (EE, OE)
-snapshot from a covering replica at admission and leave the conflict
+those same reads are **pinned** — they capture a covering replica's
+store triple ``(version, EE, OE)`` at admission and leave the conflict
 graph entirely, so the writer chain starts immediately and overlaps
 the read wave.
 
@@ -180,7 +181,11 @@ def main() -> int:
         "speedup_bar": SPEEDUP_BAR,
         "workloads": rows,
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_replica.json")
+    # a quick run never overwrites the committed full-mode report
+    out = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_replica.quick.json" if QUICK else "BENCH_replica.json",
+    )
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

@@ -1,4 +1,5 @@
-"""Scheduler benchmark workloads → ``BENCH_sched.json``.
+"""Scheduler benchmark workloads → ``BENCH_sched.json``
+(``BENCH_sched.quick.json`` in quick mode).
 
 Measures ``Database.run_many`` against a sequential loop over the same
 batch on the §2 HR database, and gates on the read-heavy workload
@@ -140,7 +141,11 @@ def main() -> int:
         "speedup_bar": SPEEDUP_BAR,
         "workloads": rows,
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_sched.json")
+    # a quick run never overwrites the committed full-mode report
+    out = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_sched.quick.json" if QUICK else "BENCH_sched.json",
+    )
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

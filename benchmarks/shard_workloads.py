@@ -1,4 +1,5 @@
-"""Sharding benchmark workloads → ``BENCH_shard.json``.
+"""Sharding benchmark workloads → ``BENCH_shard.json``
+(``BENCH_shard.quick.json`` in quick mode).
 
 Measures the sharded engine (``Database.shard(C, k=8, by=attr)``)
 against the identical unsharded database on two gated workloads:
@@ -286,7 +287,11 @@ def main() -> int:
         "write_bar": WRITE_BAR,
         "workloads": rows,
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_shard.json")
+    # a quick run never overwrites the committed full-mode report
+    out = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_shard.quick.json" if QUICK else "BENCH_shard.json",
+    )
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

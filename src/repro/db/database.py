@@ -108,15 +108,16 @@ class Database:
         check_methods: bool = True,
     ):
         self.schema = schema
-        # the store version stamps every EE/OE replacement; plan/result
-        # and index caches validate against it (see _note_write)
-        self._state_version = 0
+        # the published store: (version, EE, OE), replaced by one
+        # assignment per install, so a reader that loads it once holds
+        # a consistent snapshot.  The version stamps every replacement;
+        # every derived table validates against it (see _note_write)
+        self._store: tuple[int, ExtentEnv, ObjectEnv] = (
+            0, ExtentEnv.for_schema(schema), ObjectEnv()
+        )
         self._defs_version = 0
-        self._ee: ExtentEnv | None = None
-        self._oe: ObjectEnv | None = None
         # oid→ClassType map memoised per store version: every typecheck
-        # needs it, and between writes it cannot change (any EE/OE
-        # install bumps _state_version through the setters above)
+        # needs it, and between writes it cannot change
         self._oid_types_cache: tuple[int, dict[str, Type]] | None = None
         self._plan_cache = PlanCache(schema_fingerprint(schema))
         self._indexes = AttributeIndexes()
@@ -139,8 +140,6 @@ class Database:
         # source cardinality diverges from the estimate by this factor
         # (None/0 disables the guards entirely)
         self.replan_ratio: float | None = 4.0
-        self.ee = ExtentEnv.for_schema(schema)
-        self.oe = ObjectEnv()
         self.supply = OidSupply()
         self.method_mode = method_mode
         self._definitions: dict[str, Definition] = {}
@@ -255,23 +254,30 @@ class Database:
     # -- state versioning ------------------------------------------------
     @property
     def ee(self) -> ExtentEnv:
-        return self._ee
+        return self._store[1]
 
     @ee.setter
     def ee(self, value: ExtentEnv) -> None:
-        if value is not self._ee:
-            self._state_version += 1
-            self._ee = value
+        self._install(value, self._store[2])
 
     @property
     def oe(self) -> ObjectEnv:
-        return self._oe
+        return self._store[2]
 
     @oe.setter
     def oe(self, value: ObjectEnv) -> None:
-        if value is not self._oe:
-            self._state_version += 1
-            self._oe = value
+        self._install(self._store[1], value)
+
+    @property
+    def _state_version(self) -> int:
+        return self._store[0]
+
+    def _install(self, ee: ExtentEnv, oe: ObjectEnv) -> None:
+        """Publish ``(ee, oe)`` under the next store version, in one
+        assignment (a no-op when both are already installed)."""
+        version, cur_ee, cur_oe = self._store
+        if ee is not cur_ee or oe is not cur_oe:
+            self._store = (version + 1, ee, oe)
 
     def _note_write(
         self, effect: Effect, pre: int, adds=None, shard_adds=None
@@ -285,18 +291,18 @@ class Database:
         :func:`repro.db.store.apply_commit`).  Affected entries are
         evicted, or folded forward where ``adds`` (extent → newly added
         oids) and ``shard_adds`` (the same, bucketed by shard) allow.
-        Compiled plans hold no store data and stay.
+        Compiled plans hold no store data and stay.  The primary's
+        commits and every replayed additive ``delta`` record (crash
+        recovery, a replica's applied record) reach this method.
         State changes with *unknown* effects (restore, persistence
-        load, rollback, a replica's applied record) never reach this
-        method — their version bump alone lazily invalidates every
-        cached result.
+        load, rollback, ``full`` records) never do — their version bump
+        alone lazily invalidates every cached result.
         """
-        post = self._state_version
+        post, ee, oe = self._store
         if post == pre:
             return
         commit = Commit(
-            effect, pre, post, self.schema, self._ee, self._oe,
-            adds, shard_adds,
+            effect, pre, post, self.schema, ee, oe, adds, shard_adds,
         )
         for derived in self._derived:
             derived.note_write(commit)
@@ -499,14 +505,13 @@ class Database:
            nothing logged and nothing installed;
         2. the additive ``delta`` WAL record becomes durable (a failed
            append aborts the commit the same way);
-        3. OE then EE install (the documented reader discipline);
+        3. EE and OE install together, as one store triple;
         4. every derived structure, the shard partitions included, is
            maintained with the exact adds, per extent and per shard:
            a partition folds the adds into its touched shards.
         """
         from repro.db import recovery as _recovery
 
-        pre = self._state_version
         extent_adds, shard_adds = commit_deltas(
             self._shards, self.schema, base_ee, result_ee, result_oe,
             effect.adds(),
@@ -514,7 +519,7 @@ class Database:
         for extent in sorted(shard_adds):
             for _shard in sorted(shard_adds[extent]):
                 maybe_fault("shard.install")
-        cur_ee, cur_oe = self._ee, self._oe
+        pre, cur_ee, cur_oe = self._store
         if cur_ee is base_ee and cur_oe is base_oe:
             new_ee, new_oe = result_ee, result_oe
         else:
@@ -538,8 +543,7 @@ class Database:
                 self, stmt, effect, extent_adds, shard_adds, result_oe
             )
             self._mark_written(self._wal.append(rec), rec)
-        self.oe = new_oe
-        self.ee = new_ee
+        self._install(new_ee, new_oe)
         self._note_write(
             effect, pre, adds=extent_adds, shard_adds=shard_adds
         )
@@ -609,14 +613,14 @@ class Database:
             vt = check_query(ctx, v)
             ctx.require_subtype(vt, declared[a], f"insert {cname}.{a}")
         with self._commit_lock:
-            oid = self.supply.fresh(cname, self.oe)
+            version, ee, oe = self._store
+            oid = self.supply.fresh(cname, oe)
             effect = Effect.of(add_effect(cname))
-            ee, oe = self.ee, self.oe
             _flight.record(
                 "commit",
                 stmt=f"insert {cname}",
                 effect=str(effect),
-                version=self._state_version,
+                version=version,
             )
             # a failed append aborts the insert with nothing installed
             # (the burnt oid is absorbed by ∼)
@@ -676,12 +680,10 @@ class Database:
         Q's fixed part, so callers must not mutate it.
         """
         cached = self._oid_types_cache
-        version = self._state_version
+        version, _, oe = self._store
         if cached is not None and cached[0] == version:
             return cached[1]
-        vars = {
-            oid: ClassType(rec.cname) for oid, rec in self.oe.items()
-        }
+        vars = {oid: ClassType(rec.cname) for oid, rec in oe.items()}
         self._oid_types_cache = (version, vars)
         return vars
 
@@ -851,8 +853,10 @@ class Database:
     ) -> EvalResult:
         """:meth:`run` after its derivation: ``q`` and its effect ``eff``
         come from :meth:`_derive`, here or at the caller that holds them
-        (the scheduler's run step, a replica serving a routed read).
-        ``run_kw`` goes to every :meth:`_run_once`."""
+        (the scheduler's run step, a replica serving a routed or pinned
+        read).  ``run_kw`` goes to every :meth:`_run_once`; a replica
+        read passes ``commit=False`` and the store triple it captured
+        as ``at``."""
         self._check_fenced()
         scope = TransactionScope.capture(self, eff) if atomic else None
         attempt = 0
@@ -894,8 +898,16 @@ class Database:
         commit: bool = True,
         engine: str = "auto",
         budget: Budget | None = None,
+        at: tuple[int, ExtentEnv, ObjectEnv] | None = None,
     ) -> EvalResult:
-        """One evaluation attempt plus (optionally) its commit."""
+        """One evaluation attempt plus (optionally) its commit.
+
+        The evaluation reads one store triple ``(version, ee, oe)``:
+        ``at`` when given (a replica read captured it), else the store
+        published when the attempt starts.  An ``A``-only commit
+        computes its delta against exactly that triple's environments
+        and merges it into whatever is current at install time.
+        """
         decision: PlanDecision | None = None
         if engine == "auto":
             if self._replicas is not None:
@@ -923,13 +935,11 @@ class Database:
         self._qstats["runs"] += 1
         if engine in self._qstats:
             self._qstats[engine] += 1
-        # the evaluation's base environments: an A-only commit computes
-        # this run's delta against exactly what it read, then merges the
-        # delta into whatever is current at install time
-        base_ee, base_oe = self.ee, self.oe
+        at = self._store if at is None else at
+        _, base_ee, base_oe = at
         with _span("eval", engine=engine) as ev_sp:
             if engine == "compiled":
-                result = self._run_compiled(q, decision, budget=budget)
+                result = self._run_compiled(q, decision, at, budget=budget)
             elif engine == "bigstep":
                 from repro.semantics.bigstep import evaluate_bigstep
 
@@ -975,7 +985,6 @@ class Database:
                     )
                 with self._commit_lock:
                     effect = result.effect
-                    pre = self._state_version
                     writes = bool(effect.writes())
                     stmt = pretty(q) if writes else ""
                     if writes:
@@ -985,15 +994,16 @@ class Database:
                             "commit",
                             stmt=stmt[:200],
                             effect=str(effect),
-                            version=pre,
+                            version=self._state_version,
                         )
                     if writes and not effect.updates():
                         self._install_adds(
                             stmt, effect,
                             base_ee, base_oe, result.ee, result.oe,
                         )
-                    else:
-                        if self._wal is not None and writes:
+                    elif writes:
+                        pre = self._state_version
+                        if self._wal is not None:
                             from repro.db.recovery import full_record
 
                             # write-ahead: the record must be durable
@@ -1007,23 +1017,25 @@ class Database:
                                 self, stmt, effect, result.ee, result.oe
                             )
                             self._mark_written(self._wal.append(rec), rec)
-                        # OE before EE: a concurrent snapshot reader
-                        # loads ee then oe, so this order can never pair
-                        # a new extent set with an object env missing
-                        # its members
-                        self.oe = result.oe
-                        self.ee = result.ee
+                        self._install(result.ee, result.oe)
                         self._note_write(effect, pre)
                 if self._active_txn is not None:
                     self._active_txn.record(result.effect)
         return result
 
     def _run_compiled(
-        self, q: Query, decision: PlanDecision, *, budget: Budget | None
+        self,
+        q: Query,
+        decision: PlanDecision,
+        at: tuple[int, ExtentEnv, ObjectEnv],
+        *,
+        budget: Budget | None,
     ) -> EvalResult:
-        """Execute (or replay from the result cache) a compiled plan."""
+        """Execute (or replay from the result cache) a compiled plan at
+        store triple ``at``.  A result computed at a version older than
+        the cached one is returned, not kept (``PlanCache.keep_result``)."""
         entry = decision.entry
-        version = self._state_version
+        version, ee, oe = at
         hit = self._plan_cache.result(entry, version)
         if hit is not None:
             _, value, effect, ops, _ = hit
@@ -1033,7 +1045,7 @@ class Database:
         else:
             trace: dict = {}
             value, effect, ops = execute_plan(
-                self, entry, budget=budget, trace=trace
+                self, entry, budget=budget, at=at, trace=trace
             )
             # the dynamic (class, shard) read trace keys the result under
             # per-shard invalidation (PlanCache.note_write shard_writes)
@@ -1046,49 +1058,11 @@ class Database:
                 _METRICS.counter("exec_ops_total").inc(ops)
         return EvalResult(
             value=value,
-            ee=self.ee,
-            oe=self.oe,
+            ee=ee,
+            oe=oe,
             steps=ops,
             effect=effect,
             engine="compiled",
-        )
-
-    def _run_snapshot(
-        self,
-        q: Query,
-        eff: Effect,
-        ee: ExtentEnv,
-        oe: ObjectEnv,
-        *,
-        budget: Budget | None = None,
-        strategy: Strategy = FIRST,
-    ) -> EvalResult:
-        """Evaluate a read-only query against a pinned ``(ee, oe)`` pair.
-
-        The scheduler's routed reads use this: the pair was captured at
-        admission (before any batch writer ran), so the answer is the
-        sequential one regardless of what this database — typically a
-        replica that kept applying shipped records — has installed
-        since.  ``eff`` is the effect admission derived.  Never commits,
-        never touches the live caches' results.
-        """
-        decision = _decide_engine(self, q, eff)
-        if decision.engine == "compiled":
-            value, effect, ops = execute_plan(
-                self, decision.entry, budget=budget, ee=ee, oe=oe
-            )
-            return EvalResult(
-                value=value, ee=ee, oe=oe, steps=ops,
-                effect=effect, engine="compiled",
-            )
-        from repro.semantics.bigstep import evaluate_bigstep
-
-        big = evaluate_bigstep(
-            self.machine, ee, oe, q, strategy=strategy, budget=budget
-        )
-        return EvalResult(
-            value=big.value, ee=big.ee, oe=big.oe, steps=0,
-            effect=big.effect, engine="bigstep",
         )
 
     def plan_decision(self, source: str | Query) -> PlanDecision:
@@ -1216,9 +1190,8 @@ class Database:
         is an optional warm-up, not a prerequisite.  Returns a
         JSON-safe summary keyed ``"Extent.attr"``.
         """
-        return self._stats.analyze(
-            self.schema, self.ee, self.oe, self._state_version
-        )
+        version, ee, oe = self._store
+        return self._stats.analyze(self.schema, ee, oe, version)
 
     def transaction(self) -> Transaction:
         """A multi-statement, all-or-nothing scope (context manager).
@@ -1295,25 +1268,26 @@ class Database:
         still an answer.
         """
         q, _ = self._derive(source)
+        _, ee, oe = self._store
         return explore(
-            self.machine, self.ee, self.oe, q,
+            self.machine, ee, oe, q,
             max_steps=max_steps, max_paths=max_paths, budget=budget,
         )
 
     # -- state management ----------------------------------------------------
     def snapshot(self) -> Snapshot:
         """An immutable copy of the current state."""
-        return Snapshot(self.ee, self.oe, tuple(self._definitions.values()))
+        _, ee, oe = self._store
+        return Snapshot(ee, oe, tuple(self._definitions.values()))
 
     def restore(self, snap: Snapshot) -> None:
         """Return to a snapshot (environments are immutable: O(1)).
 
-        The EE/OE assignments bump the store version, lazily
-        invalidating every cached result/index; the definitions are
-        rebuilt, so compiled plans against the old DE are retired too.
+        The EE/OE install bumps the store version, lazily invalidating
+        every cached result/index; the definitions are rebuilt, so
+        compiled plans against the old DE are retired too.
         """
-        self.ee = snap.ee
-        self.oe = snap.oe
+        self._install(snap.ee, snap.oe)
         self._defs_version += 1
         self._definitions.clear()
         self._def_types.clear()

@@ -241,9 +241,7 @@ def decode_state(db: Database, doc: dict, *, replace: bool) -> None:
             want,
             current.union(members) if additive else frozenset(members),
         )
-    # OE before EE: same installation order as a Database commit
-    db.oe = oe
-    db.ee = ExtentEnv(extents)
+    db._install(ExtentEnv(extents), oe)
     if replace:
         _restore_definitions(db, _stanza(doc, "definitions", list))
 

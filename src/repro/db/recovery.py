@@ -26,7 +26,11 @@ EE/OE store:
 Replay applies the records' *physical* deltas (extent memberships and
 object records restricted to the commit's static R∪A∪U effect, per
 Theorem 5), not the logical statements — re-running queries would be
-slower and needlessly re-entangles recovery with evaluation.  A record
+slower and needlessly re-entangles recovery with evaluation.  An
+additive ``delta`` record replays as the ``A``-only commit it was on
+the primary, so the replaying database maintains its derived tables
+(results, indexes, partitions, statistics) across it instead of
+invalidating them.  A record
 that passes its checksum but fails semantic validation (unknown extent,
 wrong attribute set, non-monotone LSN) raises
 :class:`~repro.db.wal.WalError`: a checksummed log is never *silently*
@@ -48,8 +52,10 @@ from repro.db.persistence import (
     load_database,
     read_document,
 )
+from repro.db.shards import commit_deltas
 from repro.db.store import ExtentEnv, ObjectEnv
 from repro.db.wal import WalError
+from repro.effects.algebra import Effect, add as add_effect
 from repro.lang.pprint import pretty_definition
 from repro.obs import flight as _flight
 from repro.obs._state import STATE as _OBS
@@ -357,11 +363,9 @@ def apply_record(db: "Database", rec: dict) -> None:
     try:
         if kind == "define":
             db.define(rec["source"])
+        elif kind in _DELTA_KINDS and "adds" in rec:
+            _replay_adds(db, rec)
         elif kind in _DELTA_KINDS or kind == "full":
-            # an additive delta is independent of the shard layout, so a
-            # database recovered under a different (or no) shard
-            # declaration reaches the identical extent state; the
-            # ``shards`` stanza only feeds record_marks
             decode_state(db, rec, replace=kind == "full")
         else:
             raise WalError(f"record lsn {rec.get('lsn')}: unknown kind {kind!r}")
@@ -372,3 +376,29 @@ def apply_record(db: "Database", rec: dict) -> None:
             f"record lsn {rec.get('lsn')} does not apply: {exc}"
         ) from exc
     db.supply.advance_to(int(rec.get("next_oid", 0)))
+
+
+def _replay_adds(db: "Database", rec: dict) -> None:
+    """Replay an additive ``delta`` as the ``A``-only commit it was.
+
+    Its effect is ``A(C)`` for the class of every extent the record
+    names, and its adds are the oids that joined those extents, so
+    :meth:`Database._note_write` folds or promotes every derived table
+    exactly as the primary's commit did.  Adds are bucketed by shard
+    under *this* database's layout: shard specs travel in checkpoints,
+    not in the WAL, so a database recovered under a different (or no)
+    layout reaches the identical extent state, and the record's
+    ``shards`` stanza only feeds :func:`record_marks`.
+    """
+    with db._commit_lock:
+        pre, base_ee, _ = db._store
+        decode_state(db, rec, replace=False)
+        _, ee, oe = db._store
+        classes = {base_ee.class_of(extent) for extent in rec["adds"]}
+        extent_adds, shard_adds = commit_deltas(
+            db._shards, db.schema, base_ee, ee, oe, classes
+        )
+        db._note_write(
+            Effect.of(*(add_effect(c) for c in classes)), pre,
+            adds=extent_adds, shard_adds=shard_adds,
+        )

@@ -33,7 +33,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from repro.db.store import Commit, apply_commit
+from repro.db.store import Commit, apply_commit, keep_newest
 from repro.errors import ReproError
 from repro.lang.ast import (
     BoolLit,
@@ -159,15 +159,14 @@ class ShardedExtents:
     ) -> tuple[frozenset[str], ...] | None:
         """The shard partition of ``extent`` at ``version`` (or ``None``).
 
-        ``None`` means the extent is unsharded or the caller holds a
-        pinned snapshot (``version < 0``) — callers fall back to the
-        whole-extent path, which is always correct.  A stale cached
-        partition is rebuilt from the passed environments and stamped.
+        ``None`` means the extent is unsharded — callers fall back to
+        the whole-extent path.  A missing or stale partition is split
+        from the passed environments (the store triple the caller runs
+        at) and stamped, unless a newer one is cached meanwhile
+        (:func:`repro.db.store.keep_newest`).
         """
         spec = self.specs.get(extent)
         if spec is None:
-            return None
-        if version < 0:
             return None
         with self._lock:
             hit = self._parts.get(extent)
@@ -175,7 +174,7 @@ class ShardedExtents:
                 return hit[1]
         parts = self._split(spec, ee.members(extent), oe)
         with self._lock:
-            self._parts[extent] = (version, parts)
+            keep_newest(self._parts, extent, (version, parts))
             vs = self._versions.setdefault(extent, [0] * spec.k)
             for i in range(spec.k):
                 vs[i] += 1

@@ -30,10 +30,11 @@ governs the plan/result caches and :class:`~repro.db.store.AttributeIndexes`:
   version;
 * any ``U`` atom may have rewritten attribute values anywhere, so every
   column stat is dropped;
-* unattributed state changes (restore, rollback, recovery, replica
-  installs) advance the store version without a promotion, so every
-  cached column stat lazily invalidates on its next version check —
-  the safe default.
+* unattributed state changes (restore, rollback, ``full`` records)
+  advance the store version without a promotion, so every cached
+  column stat lazily invalidates on its next version check — the safe
+  default.  A replayed additive ``delta`` record (recovery, a
+  replica) is a commit like the primary's and folds the same way.
 
 Staleness of *plans* is handled by the **stats epoch**: a monotone
 counter bumped whenever an extent's row count drifts geometrically
@@ -55,7 +56,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
-from repro.db.store import Commit, apply_commit, column_values
+from repro.db.store import Commit, apply_commit, column_values, keep_newest
 from repro.lang.ast import IntLit, Query
 from repro.model.schema import Schema
 
@@ -418,7 +419,7 @@ class StatisticsCatalog:
             if hit is not None and hit[0] == version:
                 return hit[1]
             stats = ColumnStats.build(extent, attr, oe, ee.members(extent))
-            self._columns[key] = (version, stats)
+            keep_newest(self._columns, key, (version, stats))
             return stats
 
     # -- effect-guided maintenance ----------------------------------------

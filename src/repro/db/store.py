@@ -344,8 +344,18 @@ def apply_commit(
     return evicted
 
 
+def keep_newest(table: dict, key, entry: tuple) -> None:
+    """Store the version-led ``entry`` under ``key`` unless ``table``
+    holds one at a newer version.  A read at an older store triple (a
+    pinned replica read) builds for itself and leaves the newer entry
+    in place.  Callers hold their own table lock."""
+    have = table.get(key)
+    if have is None or have[0] <= entry[0]:
+        table[key] = entry
+
+
 class AttributeIndexes:
-    """Per-(extent, attribute) hash indexes over the current EE/OE.
+    """Per-(extent, attribute) hash indexes, each for one store version.
 
     One table keyed ``(extent, attr, shard)`` of version-led
     ``(version, index)`` entries.  ``shard=None`` is the whole-extent
@@ -353,15 +363,19 @@ class AttributeIndexes:
     whole-extent index is the merge of its partials, so a commit that
     touches one shard rebuilds only that shard's partial.  Entries are
     built lazily the first time a compiled hash join (or a pruned
-    probe) asks for one, and answer only at the store version they are
-    stamped with.  :func:`apply_commit` maintains the table: an
-    ``A(C)`` write touches the indexes of ``C``'s extent (a partial
-    only when the write added to its shard) and promotes the rest;
-    ``U`` atoms rewrite attribute values, so every index is dropped.
-    Unattributed state changes (restore, persistence load, rollback)
-    advance the version without a promotion, lazily invalidating
-    everything — the safe default.  Shard ids key partials, so a
-    re-declared layout must :meth:`clear` the table.
+    probe) asks for one, from the store triple the asking plan runs
+    at, and answer only at the store version they are stamped with; a
+    build for an older version than the entry's is not kept
+    (:func:`keep_newest`).  :func:`apply_commit` maintains the table —
+    for the primary's commits and for every replayed additive
+    ``delta`` record alike: an ``A(C)`` write touches the indexes of
+    ``C``'s extent (a partial only when the write added to its shard)
+    and promotes the rest; ``U`` atoms rewrite attribute values, so
+    every index is dropped.  Unattributed state changes (restore,
+    persistence load, rollback, ``full`` records) advance the version
+    without a promotion, lazily invalidating everything — the safe
+    default.  Shard ids key partials, so a re-declared layout must
+    :meth:`clear` the table.
     """
 
     def __init__(self):
@@ -385,7 +399,7 @@ class AttributeIndexes:
             if hit is not None and hit[0] == version:
                 return hit[1]
             idx = build()
-            self._indexes[key] = (version, idx)
+            keep_newest(self._indexes, key, (version, idx))
             return idx
 
     def get(
@@ -738,7 +752,7 @@ class ClosureIndexes:
             if hit is not None and hit[0] == version:
                 return hit[1]
             idx = build_closure_index(schema, ee, oe, attr, classes)
-            self._indexes[key] = (version, idx)
+            keep_newest(self._indexes, key, (version, idx))
             self.rebuilds += 1
             return idx
 

@@ -30,8 +30,12 @@ dynamic trace of any run is a subeffect of the static effect):
   ``{R(Employee)}`` but reads Manager state;
 * any state change the database cannot attribute to a known effect
   (snapshot restore, persistence load, transaction rollback, a
-  replica's applied record) simply bumps the store version, which
+  replayed ``full`` record) simply bumps the store version, which
   lazily invalidates every cached result — the safe default.
+
+A replayed additive ``delta`` record (crash recovery, a replica
+applying a shipped record) is the ``A``-only commit it was and is
+maintained as one, so a replica keeps its results across it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.db.store import Commit, apply_commit
+from repro.db.store import Commit, apply_commit, keep_newest
 from repro.exec.compiler import CompiledPlan
 from repro.lang.ast import Query
 from repro.obs import flight as _flight
@@ -150,11 +154,13 @@ class PlanCache:
 
         An entry that left the cache meanwhile (capacity, a re-put,
         :meth:`clear`) keeps nothing: its result could never be looked
-        up, and no eviction would reclaim it.
+        up, and no eviction would reclaim it.  Nor does a result
+        computed at an older store version than the cached one (a
+        pinned replica read) replace it.
         """
         with self._lock:
             if self._entries.get(self._key(q, defs_version)) is entry:
-                self._results[entry] = result
+                keep_newest(self._results, entry, result)
 
     def note_write(self, c: Commit) -> None:
         """A write with effect ``c.effect`` moved version pre → post.

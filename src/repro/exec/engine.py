@@ -139,36 +139,34 @@ def route_read(db, q: Query, eff: Effect, **run_kw):
     return db._replicas.try_serve(q, eff, **run_kw)
 
 
-def execute_plan(
-    db, entry: PlanEntry, *, budget=None, ee=None, oe=None, trace=None
-):
-    """Run a compiled plan against the database's current EE/OE.
+def execute_plan(db, entry: PlanEntry, *, budget=None, at=None, trace=None):
+    """Run a compiled plan against one store triple of ``db``.
 
-    Returns ``(value, dynamic_effect, ops)``; the environments are
-    untouched by construction (the plan is read-only).  ``ee``/``oe``
-    override the live environments for pinned snapshot reads (the
-    scheduler's routed reads evaluate against the immutable pair they
-    captured at admission, not whatever the replica has applied since).
-    ``trace``, when a dict, receives ``"shard_reads"``: the dynamic
-    per-class shard sets this execution actually touched (``None`` =
-    all shards) — the result cache's per-``(class, shard)`` key.
+    ``at`` is a ``(version, ee, oe)`` triple the caller captured (a
+    replica read, routed or pinned); by default the store published
+    now.  Returns ``(value, dynamic_effect, ops)``; the environments are
+    untouched by construction (the plan is read-only).  ``trace``, when
+    a dict, receives ``"shard_reads"``: the dynamic per-class shard sets
+    this execution actually touched (``None`` = all shards) — the
+    result cache's per-``(class, shard)`` key.
 
-    **Adaptive replanning**: on a non-pinned execution the context
-    carries a :class:`~repro.exec.runtime.ReplanGuard`; when an
-    observed source cardinality diverges from the plan's compile-time
-    estimate by ``db.replan_ratio`` or more, the plan raises
+    **Adaptive replanning**: the first attempt's context carries a
+    :class:`~repro.exec.runtime.ReplanGuard`; when an observed source
+    cardinality diverges from the plan's compile-time estimate by
+    ``db.replan_ratio`` or more, the plan raises
     :class:`~repro.exec.runtime.ReplanSignal`, the entry is recompiled
     with the observation as a cardinality override, and execution
-    restarts (at most once).  Abandoning the partial run is safe —
-    the plan is read-only, so by Theorem 4 re-execution yields the
-    same observables — and the restarted attempt gets a fresh budget
-    start, so a budget can overshoot by at most one aborted attempt.
+    restarts (at most once) at the same triple.  Abandoning the partial
+    run is safe — the plan is read-only, so by Theorem 4 re-execution
+    yields the same observables — and the restarted attempt gets a
+    fresh budget start, so a budget can overshoot by at most one
+    aborted attempt.
     """
-    pinned = ee is not None or oe is not None
+    at = db._store if at is None else at
     ratio = db.replan_ratio
     for attempt in (0, 1):
-        ctx = _context(db, budget=budget, ee=ee, oe=oe)
-        if attempt == 0 and not pinned and ratio:
+        ctx = _context(db, at, budget=budget)
+        if attempt == 0 and ratio:
             ctx.replan = ReplanGuard(ratio)
         # one charge per execution: every machine run takes at least one
         # step, so the compiled engine exposes the same fault/budget site
@@ -196,27 +194,28 @@ def execute_plan(
     return value, ctx.effect(), ctx.ops
 
 
-def _context(db, *, budget=None, ee=None, oe=None) -> ExecContext:
-    """The context of one plan run against ``db``'s live state.
+def _context(db, at, *, budget=None) -> ExecContext:
+    """The context of one plan run against ``db`` at store triple ``at``.
 
-    ``ee``/``oe`` pin a snapshot instead.  Attribute indexes, shard
-    partitions and closure indexes are versioned against the *live*
-    store; a pinned snapshot may be older, so it runs without them.
+    Attribute indexes, shard partitions and closure indexes answer at
+    the triple's version, whether it is the live store or a replica
+    read's captured one; an entry built for an older version never
+    replaces a newer one.
     """
-    pinned = ee is not None or oe is not None
+    version, ee, oe = at
     return ExecContext(
-        ee if ee is not None else db.ee,
-        oe if oe is not None else db.oe,
+        ee,
+        oe,
         db.schema,
         db._definitions,
         method_mode=db.method_mode,
         method_fuel=db.machine.method_fuel,
         supply=db.supply,
         budget=budget,
-        indexes=None if pinned else db._indexes,
-        state_version=-1 if pinned else db._state_version,
-        shards=None if pinned else db._shards,
-        closure_indexes=None if pinned else db._closure_indexes,
+        indexes=db._indexes,
+        state_version=version,
+        shards=db._shards,
+        closure_indexes=db._closure_indexes,
     )
 
 
@@ -308,7 +307,7 @@ def explain(
         _analyze_reduction(db, q, prof, budget=budget, max_steps=max_steps)
         return prof
     t0 = perf_counter()
-    ctx = _context(db, budget=budget)
+    ctx = _context(db, db._store, budget=budget)
     run = ProfileRun(len(plan.ops))
     ctx.prof = run
     ctx.charge()
@@ -341,10 +340,11 @@ def _analyze_reduction(db, q: Query, prof, *, budget, max_steps) -> None:
     from repro.semantics.evaluator import DEFAULT_MAX_STEPS, evaluate
     from repro.semantics.strategy import FIRST
 
+    _, ee, oe = db._store
     with _events.capture() as captured:
         t0 = perf_counter()
         result = evaluate(
-            db.machine, db.ee, db.oe, q,
+            db.machine, ee, oe, q,
             strategy=FIRST,
             max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps,
             budget=budget,

@@ -54,9 +54,9 @@ class ReplanSignal(Exception):
 class ReplanGuard:
     """The divergence test compiled generator stages consult.
 
-    Attached to an :class:`ExecContext` (``ctx.replan``) only on
-    non-pinned first executions; ``None`` disables every guard at the
-    cost of one attribute check per source materialization.
+    Attached to an :class:`ExecContext` (``ctx.replan``) only on a
+    plan's first execution attempt; ``None`` disables every guard at
+    the cost of one attribute check per source materialization.
     """
 
     __slots__ = ("ratio",)
@@ -155,11 +155,12 @@ class ExecContext:
         # dynamic shard trace: class -> set of shard ids read, or None
         # once any whole-extent read happened (= all shards)
         self.shard_reads: dict[str, set | None] = {}
-        # adaptive replanning: a ReplanGuard on non-pinned first
-        # executions, None everywhere else (guards become no-ops)
+        # adaptive replanning: a ReplanGuard on first execution
+        # attempts, None everywhere else (guards become no-ops)
         self.replan: ReplanGuard | None = None
-        # persistent interval indexes for unbounded traverse (None on
-        # pinned snapshots — the RED route then degrades to the chase)
+        # persistent interval indexes for unbounded traverse (None when
+        # no index store is attached — the RED route then degrades to
+        # the chase)
         self.closure_indexes = closure_indexes
         self._extent_cache: dict[str, Query] = {}
         # tables/sources provably independent of the variable environment
@@ -331,8 +332,8 @@ class ExecContext:
         for *k*.  Records a single-``(class, shard)`` dynamic read, the
         confinement the per-shard result cache keys on.  ``None`` when
         pruning does not apply (unsharded, sharded by a different
-        attribute or by oid, pinned snapshot) — the caller uses the
-        full index.
+        attribute or by oid, no index store attached) — the caller uses
+        the full index.
         """
         shards = self.shards
         if shards is None or self.indexes is None:
@@ -364,7 +365,8 @@ class ExecContext:
 
         Re-validated at execution time: the plan was compiled against a
         shard *spec view* that may have changed since (``.shard`` can be
-        re-declared), and pinned snapshots never partition.
+        re-declared).  The partition is the one at this context's store
+        version.
         """
         shards = self.shards
         if shards is None:
@@ -434,8 +436,8 @@ class ExecContext:
     ) -> frozenset[str] | None:
         """RED traverse: answer from the persistent interval index.
 
-        Returns None when the route must degrade to the chase: pinned
-        snapshot (no index store), empty start, a cyclic or uncovered
+        Returns None when the route must degrade to the chase: no index
+        store attached, empty start, a cyclic or uncovered
         graph, or a start object outside the indexed cone.  A served
         answer records the whole cone in the dynamic trace — the index
         was (re)built from every cone extent, which is exactly the

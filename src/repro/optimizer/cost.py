@@ -92,10 +92,9 @@ class BoundStats:
 
     def column(self, extent: str, attr: str):
         db = self._db
+        version, ee, oe = db._store
         try:
-            return db._stats.column(
-                db.ee, db.oe, db._state_version, extent, attr
-            )
+            return db._stats.column(ee, oe, version, extent, attr)
         except Exception:
             return None
 

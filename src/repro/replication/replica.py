@@ -382,39 +382,40 @@ class Replica:
         return True
 
     def serve(self, q, eff, **run_kw) -> "EvalResult":
-        """Answer one routed read against this replica's live state.
+        """Answer one routed read at this replica's current store.
 
         ``q`` and its effect ``eff`` are the primary's derivation, made
         once before routing; the replica derives nothing again.
         """
-        with self._lock:
-            self.inflight += 1
-        try:
-            return self.db._run_derived(q, eff, commit=False, **run_kw)
-        finally:
-            with self._lock:
-                self.inflight -= 1
-                self.served_total += 1
+        return self.serve_snapshot(q, eff, *self.snapshot_envs(), **run_kw)
 
     def snapshot_envs(self):
-        """A consistent (ee, oe) pair for a pinned read.
+        """This replica's database and its store triple, captured
+        together: ``(db, (version, ee, oe))``.
 
-        Capture order matters: apply installs ``oe`` before ``ee``, so
-        reading ``ee`` first can never pair a new extent set with an
-        object env missing its members (the same discipline as the
-        primary's commit).
+        The triple is one attribute load, so an apply that installs in
+        between cannot pair one version's extents with another's
+        objects or version; and a read served against the captured
+        database answers from it even if a resync replaces ``self.db``
+        meanwhile.
         """
-        ee = self.db.ee
-        oe = self.db.oe
-        return ee, oe
+        db = self.db
+        return db, db._store
 
-    def serve_snapshot(self, q, eff, ee, oe, **run_kw) -> "EvalResult":
-        """Answer a pinned read (effect ``eff``, derived at admission)
-        against a captured (ee, oe) pair."""
+    def serve_snapshot(self, q, eff, db, at, **run_kw) -> "EvalResult":
+        """Answer a read (effect ``eff``, derived on the primary) on
+        ``db`` at its store triple ``at``, as
+        :meth:`snapshot_envs` captured them.
+
+        The read runs with that version's result cache, indexes,
+        partitions and closure indexes; one pinned at an older version
+        than the replica has since applied builds what it misses for
+        itself and replaces no newer entry.
+        """
         with self._lock:
             self.inflight += 1
         try:
-            return self.db._run_snapshot(q, eff, ee, oe, **run_kw)
+            return db._run_derived(q, eff, commit=False, at=at, **run_kw)
         finally:
             with self._lock:
                 self.inflight -= 1

@@ -13,8 +13,9 @@
   answers, the degrade is counted, and the answer is never wrong.
 
 * **pinned routing** (``pin`` / ``serve_pinned``): the scheduler asks
-  at admission time for an immutable ``(ee, oe)`` snapshot from a
-  covering replica.  A pinned read leaves the batch's conflict graph
+  at admission time for a covering replica's database and its store
+  triple ``(version, ee, oe)``, and later answers at exactly that
+  triple.  A pinned read leaves the batch's conflict graph
   entirely — writers stop serialising behind it — which is where the
   replica read-throughput win comes from (``benchmarks/
   replica_workloads.py``).
@@ -49,11 +50,12 @@ _STATE_RANK = {SERVING: 0, LAGGING: 1}
 
 @dataclass(frozen=True)
 class PinnedRead:
-    """An immutable snapshot a scheduler-admitted read will run against."""
+    """The replica database and store triple a scheduler-admitted read
+    will run at."""
 
     replica: Replica
-    ee: object
-    oe: object
+    db: object
+    at: tuple
 
 
 class ReplicaSet:
@@ -240,13 +242,12 @@ class ReplicaSet:
         pick = self._choose(q, eff, "no-pinnable-replica")
         if pick is None:
             return None
-        ee, oe = pick.snapshot_envs()
-        return PinnedRead(pick, ee, oe)
+        return PinnedRead(pick, *pick.snapshot_envs())
 
     def serve_pinned(self, pin: PinnedRead, q, eff, **run_kw) -> "EvalResult":
         """Run a scheduler-admitted read (effect ``eff``, derived at
-        admission) against its pinned snapshot."""
-        result = pin.replica.serve_snapshot(q, eff, pin.ee, pin.oe, **run_kw)
+        admission) at its pinned store triple."""
+        result = pin.replica.serve_snapshot(q, eff, pin.db, pin.at, **run_kw)
         with self._lock:
             self.routed_total += 1
             self.pinned_total += 1

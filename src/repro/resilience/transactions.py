@@ -106,11 +106,10 @@ class TransactionScope:
                         oe = oe.with_object(oid, rec)
                 changed = ee is not db.ee or oe is not db.oe
                 # under the commit lock no writer interleaves; concurrent
-                # *disjoint* readers are safe in either order because the
-                # dropped oids were created by the failed attempt and
-                # cannot be referenced from outside its effect scope
-                db.ee = ee
-                db.oe = oe
+                # *disjoint* readers are safe because the dropped oids
+                # were created by the failed attempt and cannot be
+                # referenced from outside its effect scope
+                db._install(ee, oe)
                 if changed:
                     # a rollback has no static effect bounding what it
                     # undid: journal the whole state (see db.wal)
@@ -203,8 +202,7 @@ class Transaction:
                         entry_rec = self._entry_oe.get(oid)
                         if oe.get(oid) is not entry_rec:
                             oe = oe.with_object(oid, entry_rec)
-                db.ee = ee
-                db.oe = oe
+                db._install(ee, oe)
             # definitions added inside the transaction are removed; the
             # dicts are restored wholesale (defs are never huge) and the
             # DE version is bumped so compiled plans against them retire

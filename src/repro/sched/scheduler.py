@@ -35,8 +35,9 @@ The conflict predicate is deliberately coarser than bare
   an updater.
 
 Reads are genuinely snapshot-isolated: ``ExtentEnv``/``ObjectEnv`` are
-persistent, so a reader keeps answering against the environments it
-loaded even while a non-conflicting writer commits new ones.
+persistent and a database publishes them as one ``(version, ee, oe)``
+store triple, so a reader keeps answering against the triple it loaded
+even while a non-conflicting writer commits a new one.
 
 Everything is observable: the batch runs under a ``sched.batch`` span,
 per-query admission passes the ``sched.admit`` fault site, and the
@@ -288,10 +289,10 @@ class QueryScheduler:
         to **pin** each read: a read-only query that no earlier batch
         writer can affect — no earlier ``U`` (reference chasing escapes
         the R-set) and no earlier ``A`` on a class it reads — answers
-        the same against the pre-batch state, so it captures an
-        immutable (EE, OE) snapshot from a covering replica *now* and
-        leaves the conflict graph entirely.  Writers stop serialising
-        behind reads they happen to touch.
+        the same against the pre-batch state, so it captures a covering
+        replica's database and store triple *now* and leaves the
+        conflict graph entirely.  Writers stop serialising behind reads
+        they happen to touch.
         """
         self._rset = self.db.replicas
         batch_adds: set[str] = set()
@@ -362,7 +363,7 @@ class QueryScheduler:
         commutative.
 
         A **pinned** read takes no part in the graph at all: it already
-        holds the immutable snapshot it will answer from, so it neither
+        holds the store triple it will answer at, so it neither
         waits for anything nor makes any later query wait — in
         particular a writer that touches the classes it reads starts
         immediately instead of serialising behind it.

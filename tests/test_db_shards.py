@@ -153,11 +153,6 @@ class TestPartitions:
             is None
         )
 
-    def test_pinned_snapshot_version_partitions_to_none(self):
-        db = make_db()
-        seed(db)
-        assert db._shards.partition("Persons", db.ee, db.oe, -1) is None
-
     def test_same_version_returns_cached_tuple(self):
         db = make_db()
         seed(db)

@@ -18,6 +18,12 @@ hook also runs every live plan in the production context and compares
 it with big-step.  The oid-type memo (the oid part of Q, which every
 typing context reads by reference) is compared with Q rebuilt from OE
 after every commit too.
+
+A replica replays the primary's additive ``delta`` records as commits
+of its own, so the same hook also watches a replica's database: a
+replicated corpus checks every entry at the replica's version after
+each applied record's maintenance, while the primary's batches pin
+some reads to the replica and route others to it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,11 @@ from repro.model.types import ClassType
 from repro.semantics.bigstep import evaluate_bigstep
 from repro.semantics.bijection import values_equivalent
 from tests.test_sched_differential import _twins as sched_twins
-from tests.test_shard_differential import build_twins, make_statement
+from tests.test_shard_differential import (
+    REGIONS,
+    build_twins,
+    make_statement,
+)
 from tests.test_traverse_differential import (
     DEPTHS,
     SHAPES,
@@ -193,22 +203,41 @@ CHECKS = (
 )
 
 
-def watch(db, counts) -> None:
-    """Run every rebuild check right after each commit's maintenance."""
+def watch(db, counts, tally: str = "commits") -> None:
+    """Run every rebuild check right after each commit's maintenance,
+    counting the commit under ``tally``.
+
+    A failed check is also recorded in ``counts["mismatches"]``: raised
+    inside a ``run_many`` commit it would only become that query's
+    error, and inside a replica's apply it would quarantine the replica.
+    """
     note_write = db._note_write
 
     def checked(*args, **kwargs):
         note_write(*args, **kwargs)
-        counts["commits"] += 1
-        for check in CHECKS:
-            check(db, counts)
+        counts[tally] += 1
+        try:
+            for check in CHECKS:
+                check(db, counts)
+        except AssertionError as exc:
+            counts["mismatches"].append(str(exc))
+            raise
 
     db._note_write = checked
 
 
 @pytest.fixture(scope="module")
 def counts():
-    return dict.fromkeys(("commits",) + KINDS, 0)
+    counts = dict.fromkeys(("commits", "replica_commits") + KINDS, 0)
+    counts["mismatches"] = []
+    return counts
+
+
+@pytest.fixture(autouse=True)
+def no_mismatch(counts):
+    seen = len(counts["mismatches"])
+    yield
+    assert counts["mismatches"][seen:] == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -286,6 +315,31 @@ def test_traverse_corpus(shape, sharded, counts):
     )
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_replica_corpus(seed, counts, tmp_path):
+    primary, _ = build_twins(seed)  # Persons and Orders sharded by region
+    primary.attach_wal(str(tmp_path / "primary"), sync=False)
+    rset = primary.replicate(1, auto_poll=True)
+    replica = rset.replicas[0].db
+    replica.analyze()
+    watch(replica, counts, tally="replica_commits")
+    rng = random.Random(94_000 + seed)
+    for b in range(5):
+        # two reads admitted before any writer (pinned to the replica),
+        # then a mix whose reads after a writer of their class are
+        # routed to the replica once it applied that writer's record
+        region = f"r{rng.randrange(REGIONS)}"
+        batch = [
+            f'{{ p.name | p <- Persons, p.region = "{region}" }}',
+            "{ o.qty | o <- Orders, o.qty > 3 }",
+        ] + [make_statement(rng, f"r{seed}_{b}_{s}")[0] for s in range(6)]
+        primary.run_many(batch, workers=3)
+    assert rset.replicas[0].db is replica  # no resync swapped it out
+    assert rset.pinned_total > 0
+    assert rset.routed_total > rset.pinned_total
+    primary.close()
+
+
 #: A §5 schema whose updates reach state through a reference chain.
 BANK_ODL = """
 class Account extends Object (extent Accounts) {
@@ -346,5 +400,5 @@ def test_every_kind_was_compared(counts):
     # found an entry to compare would pass vacuously
     if not counts["commits"]:
         pytest.skip("only meaningful after the corpus tests")
-    for kind in KINDS:
+    for kind in ("replica_commits",) + KINDS:
         assert counts[kind] > 0, f"no {kind} were ever checked: {counts}"

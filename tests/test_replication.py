@@ -22,14 +22,19 @@ primary's answer, across seeded mixed batches) lives in
 """
 
 import os
+import sys
+import threading
 import types
 
 import pytest
 
 from repro.db import recovery, wal
 from repro.db.database import Database
+from repro.db.shards import shard_of
 from repro.errors import ReproError
+from repro.exec import runtime
 from repro.lang.ast import IntLit, MethodCall, OidRef
+from repro.lang.pprint import pretty
 from repro.methods.ast import AccessMode
 from repro.obs import flight as _flight
 from repro.replication import (
@@ -47,6 +52,7 @@ from repro.replication import (
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import SITES, FaultPlan, FaultRule, inject
 from repro.resilience.retry import RetryPolicy
+from repro.semantics.bigstep import evaluate_bigstep
 
 ODL = """
 class Person extends Object (extent Persons) {
@@ -167,6 +173,20 @@ class TestReplicaApply:
         assert r.marks == {"Person": 2, "Team": 3}
         assert r.db.ee.members("Persons") == db.ee.members("Persons")
         assert state_digest(r.db) == state_digest(db)
+
+    def test_applied_delta_keeps_unrelated_results(self, tmp_path):
+        db = _open(tmp_path)
+        db.insert("Team", tag="t")
+        r = Replica("r1", db, retry=_fast_retry())
+        q, eff = db._derive("{ t.tag | t <- Teams }")
+        r.serve(q, eff)
+        db.insert("Person", name="a", age=1)
+        assert r.poll() == 1
+        # the record replayed as an A(Person) commit: the Teams result
+        # was promoted to the replica's new version, not invalidated
+        hits = r.db._qstats["result_cache_hits"]
+        assert r.serve(q, eff).python() == {"t"}
+        assert r.db._qstats["result_cache_hits"] == hits + 1
 
     def test_update_commit_ships_full_record_and_stars(self, tmp_path):
         db = _open(
@@ -733,6 +753,140 @@ class TestPinnedBatchReads:
         assert all(o.ok for o in res)
         assert db._last_batch["pinned_reads"] == 0
         assert db._last_batch["conflict_edges"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Pinned reads run at the store triple captured at admission
+# ---------------------------------------------------------------------------
+
+#: A shard-key point read: an index probe pruned to one shard's partial.
+POINT = "{ p.name | p <- Persons, p.age = 21 }"
+
+
+def _sharded_estate(tmp_path):
+    """A primary with Persons sharded by age (ages 20..25, two persons
+    aged 21) and one replica that applies records only when polled."""
+    db = _open(tmp_path)
+    db.shard("Person", k=4, by="age")
+    for i in range(12):
+        db.insert("Person", name=f"p{i}", age=20 + i % 6)
+    db.checkpoint()  # shard specs travel in checkpoints
+    rset = db.replicate(1, auto_poll=False)
+    return db, rset, rset.replicas[0]
+
+
+class TestPinnedReadsAtCapturedStore:
+    def test_pin_answers_pre_batch_state_and_keeps_newer_entries(
+        self, tmp_path
+    ):
+        db, rset, rep = _sharded_estate(tmp_path)
+        q, eff = db._derive(POINT)
+        pin = rset.pin(eff, q)
+        db.insert("Person", name="late", age=21)
+        assert rep.poll() == 1
+        # a routed read at the replica's new version builds the newer
+        # partition and partial
+        assert rset.try_serve(q, eff).python() == {"p1", "p7", "late"}
+        version = rep.db._state_version
+        parts = rep.db._shards._parts["Persons"]
+        partials = dict(rep.db._indexes._indexes)
+        assert parts[0] == version
+        assert [v for v, _ in partials.values()] == [version]
+        got = rset.serve_pinned(pin, q, eff)
+        assert got.python() == {"p1", "p7"}
+        assert rep.db._shards._parts["Persons"] is parts
+        assert rep.db._indexes._indexes == partials
+        assert all(
+            rep.db._indexes._indexes[k] is entry
+            for k, entry in partials.items()
+        )
+
+    def test_resync_between_pin_and_serve_reads_pinned_database(
+        self, tmp_path
+    ):
+        db, rset, rep = _sharded_estate(tmp_path)
+        q, eff = db._derive(POINT)
+        pin = rset.pin(eff, q)
+        pinned_db = rep.db
+        db.insert("Person", name="late", age=21)
+        rep.resync()
+        assert rep.db is not pinned_db
+        assert rset.serve_pinned(pin, q, eff).python() == {"p1", "p7"}
+        # the read ran on the database it pinned: the resynced one has
+        # built nothing
+        assert pinned_db._indexes._indexes
+        assert not rep.db._indexes._indexes
+        assert not rep.db._shards._parts
+
+    def test_pinned_point_read_builds_only_its_shard_partial(
+        self, tmp_path, monkeypatch
+    ):
+        db, rset, rep = _sharded_estate(tmp_path)
+        built = []
+        build = runtime.build_attr_index
+
+        def counting_build(oe, members, attr):
+            built.append(len(members))
+            return build(oe, members, attr)
+
+        monkeypatch.setattr(runtime, "build_attr_index", counting_build)
+        res = db.run_many([POINT, 'new Person(name: "w", age: 30)'])
+        assert res.values()[0] == db.run(POINT, engine="bigstep").value
+        assert db._last_batch["pinned_reads"] == 1
+        shard = shard_of(IntLit(21), 4)
+        assert set(rep.db._indexes._indexes) == {("Persons", "age", shard)}
+        assert built == [len(rep.db._shards._parts["Persons"][1][shard])]
+        assert built[0] < 12
+
+    def test_reads_racing_applies_answer_at_their_triple(self, tmp_path):
+        # readers capture triples while the replica applies records; a
+        # read must answer at its own version, and no table may end up
+        # holding an entry built from another version's extents
+        from tests.test_derived_rebuild import (
+            check_attr_indexes,
+            check_results,
+            check_shard_parts,
+        )
+
+        db, rset, rep = _sharded_estate(tmp_path)
+        texts = [POINT, "{ p.name | p <- Persons, p.age > 22 }"]
+        derived = [db._derive(t) for t in texts]
+        wrong, done = [], threading.Event()
+
+        def reader(k):
+            while not done.is_set():
+                q, eff = derived[k % 2]
+                k += 1
+                rdb, at = rep.snapshot_envs()
+                got = rep.serve_snapshot(q, eff, rdb, at).value
+                want = evaluate_bigstep(rdb.machine, at[1], at[2], q).value
+                if got != want:
+                    wrong.append((at[0], pretty(q)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [
+                threading.Thread(target=reader, args=(k,)) for k in range(4)
+            ]
+            for t in readers:
+                t.start()
+            for i in range(30):
+                db.insert("Person", name=f"n{i}", age=20 + i % 6)
+                rep.poll()
+        finally:
+            done.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert wrong == []
+        assert rep.applied_lsn == db.wal.last_lsn
+        counts = dict.fromkeys(("results", "plans", "attr_partials",
+                                "attr_indexes", "shard_parts"), 0)
+        for check in (check_results, check_attr_indexes, check_shard_parts):
+            check(rep.db, counts)
+        assert counts["shard_parts"] and counts["attr_partials"]
 
 
 # ---------------------------------------------------------------------------
