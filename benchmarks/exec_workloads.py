@@ -1,4 +1,5 @@
-"""Compiled-engine benchmark workloads → ``BENCH_exec.json``.
+"""Compiled-engine benchmark workloads → ``BENCH_exec.json``
+(``BENCH_exec.quick.json`` in quick mode).
 
 Runs the set-at-a-time compiled engine of :mod:`repro.exec` against the
 big-step evaluator (the fastest interpreted presentation) on the §2 HR
@@ -234,11 +235,15 @@ def main() -> int:
         f"{rec['speedup_vs_fresh']:8.1f}x"
     )
 
-    path = os.environ.get("REPRO_BENCH_EXEC_PATH", "BENCH_exec.json")
+    # a quick run never overwrites the committed full-mode report
+    path = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_exec.quick.json" if QUICK else "BENCH_exec.json",
+    )
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(report, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    print(f"wrote {path}")
+    print(f"wrote {os.path.abspath(path)}")
 
     if bench_obs(db):
         return 1

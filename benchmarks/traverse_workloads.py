@@ -1,17 +1,19 @@
-"""Recursive-traversal benchmark workloads → ``BENCH_traverse.json``.
+"""Recursive-traversal benchmark workloads → ``BENCH_traverse.json``
+(``BENCH_traverse.quick.json`` in quick mode).
 
-Exercises the three complexity routes of the compiled `traverse`
+Exercises the two complexity routes of the compiled `traverse`
 construct and gates the two perf claims of the routing design:
 
-* ``interval_ancestor_closure`` — the unbounded ancestor closure of a
-  10k-node random tree.  After the first ask builds the persistent
-  interval index, repeated extent-sourced traversals answer from the
-  index's memoized stab (Theorem 5 keeps it valid until a cone class
-  is written).  The amortized interval answer must beat the semi-naive
-  chase by ``INTERVAL_BAR`` (10×); the cold first-stab and full
-  end-to-end times are reported unbarred for context.
+* ``interval_ancestor_closure`` (the name the reports have always
+  used) — the unbounded ancestor closure of a 10k-node random tree.
+  After the first ask builds the persistent closure index and walks
+  the extent's parent chains, repeated extent-sourced traversals
+  answer from the index's memoized closure (Theorem 5 keeps it valid
+  until a cone class is written).  The amortized indexed answer must
+  beat the semi-naive chase by ``INTERVAL_BAR`` (10×); the cold first
+  ask and full end-to-end times are reported unbarred for context.
 * ``cyclic_projection`` — ``{ x.tag | x <- traverse(...) }`` over a
-  cycle, where the interval index refuses (cyclic) and the compiled
+  cycle, where the closure index refuses (cyclic) and the compiled
   route degrades to the fuel-charged semi-naive chase.  The compiled
   semi-naive execution must beat the big-step evaluator by
   ``SEMI_NAIVE_BAR`` (5×) end to end.
@@ -45,7 +47,7 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 TREE_N = 4_000 if QUICK else 10_000
 RING_N = 800 if QUICK else 2_000
 REPEATS = 3 if QUICK else 5
-INTERVAL_BAR = 10.0  # amortized interval route vs semi-naive chase
+INTERVAL_BAR = 10.0  # amortized closure-index route vs semi-naive chase
 SEMI_NAIVE_BAR = 5.0  # compiled semi-naive vs big-step on cyclic
 
 
@@ -69,7 +71,7 @@ def bench_interval(report: dict, failures: list) -> None:
     assert any("red" in n for n in red.entry.plan.notes)
     assert any("yellow" in n for n in yellow.entry.plan.notes)
 
-    # differential check (also warms the interval index)
+    # differential check (also warms the closure index)
     t0 = time.perf_counter()
     red_value, _, _ = execute_plan(db, red.entry)
     first_ask_s = time.perf_counter() - t0
@@ -79,7 +81,7 @@ def bench_interval(report: dict, failures: list) -> None:
     snap = db._closure_indexes.snapshot()
     assert snap and all(e["usable"] for e in snap.values())
 
-    # route cores on the live store: the memoized interval stab vs the
+    # route cores on the live store: the memoized indexed closure vs the
     # semi-naive chase with its per-node budget tick
     idx = next(iter(db._closure_indexes._indexes.values()))[-1]
     starts = db.ee.members("refs")
@@ -136,7 +138,7 @@ def bench_cyclic(report: dict, failures: list) -> None:
     compiled_value, _, _ = execute_plan(db, decision.entry)
     big = evaluate_bigstep(db.machine, db.ee, db.oe, q)
     assert compiled_value == big.value, "cyclic projection divergence"
-    # the interval index must have refused the cyclic store
+    # the closure index must have refused the cyclic store
     snap = db._closure_indexes.snapshot()
     assert all(e["cyclic"] for e in snap.values())
 
@@ -179,11 +181,15 @@ def main() -> int:
     bench_interval(report, failures)
     bench_cyclic(report, failures)
 
-    path = os.environ.get("REPRO_BENCH_TRAVERSE_PATH", "BENCH_traverse.json")
+    # a quick run never overwrites the committed full-mode report
+    path = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_traverse.quick.json" if QUICK else "BENCH_traverse.json",
+    )
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(report, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    print(f"wrote {path}")
+    print(f"wrote {os.path.abspath(path)}")
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Durability benchmark workloads → ``BENCH_wal.json``.
+"""Durability benchmark workloads → ``BENCH_wal.json``
+(``BENCH_wal.quick.json`` in quick mode).
 
 Measures what the write-ahead log costs at commit time and what it
 buys back at recovery time:
@@ -146,7 +147,11 @@ def main() -> int:
         "overhead_bar_x": OVERHEAD_BAR,
         "workloads": [commit_row, *recovery_rows],
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_wal.json")
+    # a quick run never overwrites the committed full-mode report
+    out = os.path.join(
+        os.path.dirname(__file__), "..",
+        "BENCH_wal.quick.json" if QUICK else "BENCH_wal.json",
+    )
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

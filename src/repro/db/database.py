@@ -121,7 +121,7 @@ class Database:
         self._oid_types_cache: tuple[int, dict[str, Type]] | None = None
         self._plan_cache = PlanCache(schema_fingerprint(schema))
         self._indexes = AttributeIndexes()
-        # persistent interval (pre/post-order) indexes for unbounded
+        # persistent closure (parent-position) indexes for unbounded
         # `traverse` (RED route); same Theorem 5 discipline as above
         self._closure_indexes = ClosureIndexes()
         # per-(extent, attribute) statistics for the cost-based

@@ -29,30 +29,6 @@ from repro.model.schema import Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.effects.algebra import Effect
 
-_np = None
-_np_checked = False
-
-
-def _numpy():
-    """numpy, imported lazily on the first large closure query.
-
-    The store module loads on every import of the package; deferring
-    the (slow, optional) numpy import to the first vectorised interval
-    stab keeps startup unchanged and lets the index degrade to the
-    parent-walk strategy when numpy is absent.
-    """
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-
-            _np = numpy
-        except Exception:
-            _np = None
-    return _np
-
-
 @dataclass(frozen=True)
 class ObjectRecord:
     """The paper's ⟪C, a₁:v₁, …, aₖ:vₖ⟫ — one object's class and state."""
@@ -497,27 +473,20 @@ class AttributeIndexes:
 
 
 class ClosureIndex:
-    """Interval (pre/post-order) encoding of one attribute's reference forest.
+    """Parent positions over one attribute's reverse reference forest.
 
     Covers every object of one reachable-closure ``classes`` cone; the
     attribute is single-valued, so the reference graph is *functional*
     (out-degree ≤ 1) and its reverse is a forest whenever the graph is
-    acyclic.  A DFS over that reverse forest assigns each node a
-    ``[pre, post)`` interval with the standard nesting property:
-
-        y is forward-reachable from x  ⇔  pre(y) ≤ pre(x) < post(y)
-
-    so the unbounded closure of a start set is pure integer work — no
-    store access, no per-node record decoding — reusable across queries
+    acyclic.  A breadth-first pass from the forest's roots gives each
+    node a position: ``order[i]`` is the node at position ``i``,
+    ``pre[oid]`` the position of ``oid`` and ``parent[i]`` the position
+    of its attribute target (``-1`` at a root).  The unbounded closure
+    of a start set is the union of its nodes' parent chains, so
+    :meth:`closure_of` is integer work in O(|closure|) — no store
+    access, no per-node record decoding — reusable across queries
     until a covered class is written (Theorem 5 discipline in
-    :class:`ClosureIndexes`).  Two answer strategies share the
-    numbering: small start sets walk the ``parent`` position array
-    (O(|closure|), optimal for ancestor queries from a few objects),
-    large ones stab every interval with two vectorised ``searchsorted``
-    passes when numpy is importable (falling back to the walk when it
-    is not).  Pre-numbers are assigned in DFS visitation order, so
-    ``pre(order[i]) == i``: a pre-number doubles as the node's position
-    in ``order``/``posts``/``parent``.
+    :class:`ClosureIndexes`).
 
     ``cyclic`` / ``usable`` are fallback markers: a cycle breaks the
     forest property and a link leaving the indexed node set (dangling
@@ -527,9 +496,8 @@ class ClosureIndex:
     """
 
     __slots__ = (
-        "attr", "classes", "cyclic", "usable",
-        "pre", "pres", "posts", "order", "parent",
-        "_np_arrays", "_extent_stabs",
+        "attr", "classes", "cyclic", "usable", "pre", "order", "parent",
+        "_extent_closures",
     )
 
     def __init__(
@@ -540,8 +508,6 @@ class ClosureIndex:
         cyclic: bool = False,
         usable: bool = True,
         pre: dict[str, int] | None = None,
-        pres: list[int] | None = None,
-        posts: list[int] | None = None,
         order: list[str] | None = None,
         parent: list[int] | None = None,
     ):
@@ -550,91 +516,45 @@ class ClosureIndex:
         self.cyclic = cyclic
         self.usable = usable
         self.pre = pre or {}
-        self.pres = pres or []
-        self.posts = posts or []
         self.order = order or []
         self.parent = parent or []
-        self._np_arrays = None
-        self._extent_stabs: dict[str, object] = {}
+        self._extent_closures: dict[str, frozenset[str]] = {}
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def _arrays(self, np):
-        arrays = self._np_arrays
-        if arrays is None:
-            arrays = (
-                np.arange(len(self.order), dtype=np.int64),
-                np.asarray(self.posts, dtype=np.int64),
-                np.asarray(self.order, dtype=object),
-            )
-            self._np_arrays = arrays
-        return arrays
-
-    def _stab(self, np, stabs) -> frozenset[str]:
-        """All nodes whose ``[pre, post)`` interval contains a stab."""
-        pres_a, posts_a, order_a = self._arrays(np)
-        # a node i is hit iff some stab lands in [i, posts[i])
-        lo = np.searchsorted(stabs, pres_a, side="left")
-        hi = np.searchsorted(stabs, posts_a, side="left")
-        return frozenset(order_a[hi > lo].tolist())
 
     def closure_of_extent(self, ee, extent: str) -> frozenset[str] | None:
         """The closure of a whole extent, memoized on the index.
 
         The Theorem 5 discipline guarantees a cone extent's membership
         cannot change while this index lives (any ``A``/``U`` touching
-        a cone class evicts it), so both the member stab array and the
-        final closure answer are computed once per (index, extent) and
-        reused verbatim by every later query: repeated extent-sourced
-        traversals are a dictionary hit, with the vectorised interval
-        stab paid only on the first ask.
+        a cone class evicts it), so the answer is walked once per
+        (index, extent) and reused verbatim by every later query:
+        repeated extent-sourced traversals are a dictionary hit.
         """
-        if self.cyclic or not self.usable:
-            return None
-        cached = self._extent_stabs.get(extent)
-        if cached is not None:
-            return cached
-        np = _numpy()
-        if np is None:
-            return None  # the generic path walks parents instead
-        pre = self.pre
-        positions = []
-        for oid in ee.members(extent):
-            p = pre.get(oid)
-            if p is None:
-                return None  # extent escapes the indexed cone
-            positions.append(p)
-        result = self._stab(np, np.asarray(sorted(positions), dtype=np.int64))
-        self._extent_stabs[extent] = result
-        return result
+        cached = self._extent_closures.get(extent)
+        if cached is None:
+            cached = self.closure_of(ee.members(extent))
+            if cached is not None:
+                self._extent_closures[extent] = cached
+        return cached
 
     def closure_of(self, start: Iterable[str]) -> frozenset[str] | None:
         """The unbounded reachable set of ``start``, or None on fallback."""
         if self.cyclic or not self.usable:
             return None
         pre = self.pre
-        stabs: list[int] = []
-        for oid in start:
-            p = pre.get(oid)
-            if p is None:
-                return None  # a start object outside the indexed cone
-            stabs.append(p)
-        order = self.order
-        n = len(order)
-        np = _numpy() if len(stabs) * 16 > n else None
-        if np is not None:
-            return self._stab(
-                np, np.asarray(sorted(set(stabs)), dtype=np.int64)
-            )
-        # small start set: walk parent positions — O(|closure|)
         parent = self.parent
         seen: set[int] = set()
         add = seen.add
-        for i in stabs:
+        for oid in start:
+            i = pre.get(oid)
+            if i is None:
+                return None  # a start object outside the indexed cone
             while i >= 0 and i not in seen:
                 add(i)
                 i = parent[i]
+        order = self.order
         return frozenset(order[i] for i in seen)
 
 
@@ -645,7 +565,8 @@ def build_closure_index(
     attr: str,
     classes: frozenset[str],
 ) -> ClosureIndex:
-    """DFS-number the reverse reference forest of ``attr`` over ``classes``."""
+    """Position the reverse reference forest of ``attr`` over
+    ``classes`` breadth-first from its roots."""
 
     def target_of(rec: ObjectRecord) -> str | None:
         for a, v in rec.attrs:
@@ -663,57 +584,33 @@ def build_closure_index(
             nodes[oid] = target_of(oe.get(oid))
 
     children: dict[str, list[str]] = {}
-    roots: list[str] = []
+    order: list[str] = []  # the roots, then every node after its parent
     for oid in sorted(nodes):
-        parent = nodes[oid]
-        if parent is None:
-            roots.append(oid)
-        elif parent not in nodes:
+        target = nodes[oid]
+        if target is None:
+            order.append(oid)
+        elif target not in nodes:
             # the chain leaves the cone: dangling oid or a store that
             # escaped the declared schema — the chase must handle it
             return ClosureIndex(attr, classes, usable=False)
         else:
-            children.setdefault(parent, []).append(oid)
-
-    pre: dict[str, int] = {}
-    pres: list[int] = []
-    posts: list[int] = []
-    order: list[str] = []
-    counter = 0
-    for root in roots:
-        # iterative DFS: (oid, enter?) — post-numbers patch on exit
-        stack: list[tuple[str, bool]] = [(root, True)]
-        slot: dict[str, int] = {}
-        while stack:
-            oid, enter = stack.pop()
-            if enter:
-                slot[oid] = len(order)
-                pre[oid] = counter
-                pres.append(counter)
-                posts.append(-1)
-                order.append(oid)
-                counter += 1
-                stack.append((oid, False))
-                for child in reversed(children.get(oid, ())):
-                    stack.append((child, True))
-            else:
-                posts[slot[oid]] = counter
+            children.setdefault(target, []).append(oid)
+    for oid in order:  # visits what it appends: one breadth-first pass
+        order.extend(children.get(oid, ()))
     if len(order) != len(nodes):
         # some node was never reached from a root: the functional graph
         # contains a cycle — mark it and let the chase converge instead
         return ClosureIndex(attr, classes, cyclic=True)
+    pre = {oid: i for i, oid in enumerate(order)}
     parent = [
         pre[target] if (target := nodes[oid]) is not None else -1
         for oid in order
     ]
-    return ClosureIndex(
-        attr, classes, pre=pre, pres=pres, posts=posts, order=order,
-        parent=parent,
-    )
+    return ClosureIndex(attr, classes, pre=pre, order=order, parent=parent)
 
 
 class ClosureIndexes:
-    """Persistent interval indexes for unbounded ``traverse`` (RED route).
+    """Persistent closure indexes for unbounded ``traverse`` (RED route).
 
     Same discipline as :class:`AttributeIndexes`, but the invalidation
     granularity is the *reachable-closure cone* an index covers, not a
@@ -745,7 +642,7 @@ class ClosureIndexes:
         attr: str,
         classes: frozenset[str],
     ) -> ClosureIndex:
-        """The interval index for ``attr`` over ``classes`` at ``version``."""
+        """The closure index for ``attr`` over ``classes`` at ``version``."""
         key = (attr, classes)
         with self._lock:
             hit = self._indexes.get(key)

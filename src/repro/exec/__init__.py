@@ -19,11 +19,12 @@ supplies the production path the paper licenses:
 Modules:
 
 * :mod:`repro.exec.compiler` — lowers a typechecked, optimizer-
-  normalised query to a tree of Python closures (scan, filter with
-  predicate pushdown, hash join, projection, the binary set operators);
+  normalised query to a tree of Python closures (scan, filter with each
+  predicate where the optimizer left it, hash join, projection, the
+  binary set operators);
 * :mod:`repro.exec.runtime` — the per-evaluation :class:`ExecContext`
-  threading budgets, fault sites, obs and the dynamic effect trace
-  through the operators;
+  of one database at one store triple, threading budgets, fault sites,
+  obs and the dynamic effect trace through the operators;
 * :mod:`repro.exec.cache` — the effect-invalidated plan/result cache;
 * :mod:`repro.exec.engine` — the entry points used by
   :meth:`repro.db.database.Database.run` and the explain surfaces.

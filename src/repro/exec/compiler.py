@@ -10,12 +10,12 @@ pipeline of stages ``stage(ctx, env, acc, state)``:
   :meth:`ExecContext.scan` (canonicalised once per execution);
   uncorrelated sources are evaluated lazily once per comprehension
   execution instead of once per outer row;
-* **filter** — predicates, with pushdown: a syntactically pure
-  predicate (no extent read, definition call, method call or ``new``)
-  is scheduled at the earliest point where all its variables are bound;
-  impure predicates keep their original position, so their dynamic
-  effect stays inside the machine's possible traces;
-* **hash join** — a generator whose slot carries a pure equality
+* **filter** — each predicate runs where it was written.  Only the
+  optimizer's ``pred-pushdown`` moves predicates, and only across
+  termination-safe qualifiers, so a compiled plan diverges (or
+  exhausts its fuel) exactly where the machine does;
+* **hash join** — a generator whose slot carries a termination-safe
+  equality, written before any method or definition call of the slot,
   between an expression over earlier-bound variables and an expression
   over the new variable builds a hash table over the source (or reuses
   a persistent :class:`~repro.db.store.AttributeIndexes` index when the
@@ -26,10 +26,12 @@ pipeline of stages ``stage(ctx, env, acc, state)``:
 
 Soundness: compiled execution is only ever routed to ``new``-free /
 read-only queries (Theorem 4 — any strategy, and hence any operator
-order, yields the same observables), and every reordering above
-preserves exactly the machine's answers for such queries: pure
-predicates cannot get stuck on well-typed rows (Theorem 3) and read no
-state, so evaluating them earlier only skips work.
+order, yields the same observables).  A hash join or shard probe
+evaluates its equality ahead of the slot's other predicates only when
+it and every predicate it overtakes are termination-safe: well-typed,
+such predicates neither get stuck (Theorem 3) nor diverge, so skipping
+them on rows the equality rejects only skips work.  Nothing else runs
+a predicate ahead of where it was written.
 
 Queries containing ``new`` (or method calls outside read-only mode)
 raise :class:`NotCompilable`; the caller falls back to the machine.
@@ -46,6 +48,7 @@ from typing import Callable
 
 from repro.errors import EvalError, StuckError
 from repro.exec import parallel as _parallel
+from repro.exec.runtime import ExecContext
 from repro.lang.ast import (
     BagLit,
     BoolLit,
@@ -149,7 +152,7 @@ class CompiledPlan:
 
 def is_pure(q: Query) -> bool:
     """Syntactically effect-free *and* state-independent beyond its
-    variables: safe to reorder freely within a comprehension."""
+    variables: safe to evaluate on a worker thread or once per scan."""
     return not any(
         isinstance(n, (ExtentRef, DefCall, MethodCall, New)) for n in walk(q)
     )
@@ -549,7 +552,7 @@ class _Compiler:
         """Complexity-routed recursive closure (see module docstring).
 
         YELLOW (any bounded depth) runs the shared semi-naive chase;
-        RED (unbounded) answers from the persistent interval index when
+        RED (unbounded) answers from the persistent closure index when
         the reference graph over the cone is acyclic and falls back to
         the chase otherwise.  Both charge one budget unit per visited
         node and record their reads in the context's dynamic ``R``
@@ -665,38 +668,20 @@ class _Compiler:
         n_gens = len(gens)
         dup_vars = len({g.var for g in gens}) != n_gens
 
-        # slot g holds the predicates scheduled after generator g-1
-        # (slot 0 = before any generator)
+        # slot g holds the predicates written after generator g-1 (slot
+        # 0 = before any generator).  Only the optimizer moves a
+        # predicate, and only across termination-safe qualifiers
         slot_preds: list[list[Query]] = [[] for _ in range(n_gens + 1)]
         gen_uncorrelated: list[bool] = []
-        latest_binder: dict[str, int] = {}
-        g = 0
+        bound: set[str] = set()
         for cq in q.qualifiers:
             if isinstance(cq, Gen):
-                src_fv = free_vars(cq.source)
-                gen_uncorrelated.append(
-                    not any(latest_binder.get(v, 0) > 0 for v in src_fv)
-                )
-                g += 1
-                latest_binder[cq.var] = g
+                gen_uncorrelated.append(not free_vars(cq.source) & bound)
+                bound.add(cq.var)
             else:
                 assert isinstance(cq, Pred)
-                if is_pure(cq.cond):
-                    slot = max(
-                        (
-                            latest_binder.get(v, 0)
-                            for v in free_vars(cq.cond)
-                        ),
-                        default=0,
-                    )
-                    if slot < g:
-                        self.notes.append(
-                            f"pushdown: predicate {cq.cond} hoisted from "
-                            f"after generator {g} to after generator {slot}"
-                        )
-                else:
-                    slot = g
-                slot_preds[slot].append(cq.cond)
+                # the slot after the generators written so far
+                slot_preds[len(gen_uncorrelated)].append(cq.cond)
 
         # variable → extent bindings, for stats-driven selectivity of
         # join candidates and the replan guards' source estimates
@@ -927,7 +912,11 @@ class _Compiler:
         the other side none bound at or after this generator.  Earlier
         comprehension variables and enclosing-scope variables may appear
         freely on the probe side; the build side must depend on the new
-        variable only, so one table serves every probe row.
+        variable only, so one table serves every probe row.  The join
+        evaluates its equality before the slot's other predicates, so
+        neither it nor any predicate written before it may call a
+        method or definition (``termination_safe``): a call that
+        diverges on a row the join skips must still diverge.
 
         With a cost model, candidates are *ranked*: an index-backed key
         (bare extent keyed by one attribute — served by the persistent
@@ -936,11 +925,15 @@ class _Compiler:
         estimated bucket) wins.  Without a model the first eligible
         equality is taken, as before.
         """
+        from repro.optimizer.rules import termination_safe
+
         comp_vars = {g.var for g in gens}
         earlier = {g.var for g in gens[: slot - 1]}
         var = gen.var
         candidates = []
         for idx, cond in enumerate(preds):
+            if not termination_safe(cond):
+                break  # the join must not run ahead of a call
             if not isinstance(cond, (PrimEq, ObjEq)):
                 continue
             for probe_q, build_q in (
@@ -1089,13 +1082,18 @@ class _Compiler:
         """Find (without consuming) a shard-pruning equality.
 
         A pure predicate ``x.by = probe`` in the new generator's slot,
-        with ``probe`` independent of this and later generators, confines
-        the surviving rows to the shard ``probe`` hashes to.  The
-        predicate stays in the pipeline — it still filters hash
+        with ``probe`` independent of this and later generators and no
+        method or definition call written before it in the slot,
+        confines the surviving rows to the shard ``probe`` hashes to.
+        The predicate stays in the pipeline — it still filters hash
         collisions within the shard, so pruning changes which rows are
         *scanned*, never which rows are *kept*.
         """
+        from repro.optimizer.rules import termination_safe
+
         for cond in preds:
+            if not termination_safe(cond):
+                break  # the skipped shards' rows must still run the call
             if not isinstance(cond, PrimEq):
                 continue
             for fld, probe in (
@@ -1294,24 +1292,22 @@ def _parallel_scan(ctx, env, acc, state, var, extent, parts, nxt) -> None:
     """Fan one whole-extent generator out per shard on the worker pool.
 
     Each worker runs the (pure, therefore thread-safe) downstream chain
-    against a forked context and its own env/acc/state; results merge
-    in shard order and the final ``make_set_value`` canonicalisation
-    makes the order immaterial.  Per-worker row charges fold back into
-    the parent context, so ops and budget match the sequential run; a
-    transient fault in any shard's task fails the whole query, exactly
-    like its sequential counterpart.
+    with its own context at the same store triple and its own
+    env/acc/state; results merge in shard order and the final
+    ``make_set_value`` canonicalisation makes the order immaterial.
+    Per-worker row charges fold back into the parent context, so ops
+    and budget match the sequential run; a transient fault in any
+    shard's task fails the whole query, exactly like its sequential
+    counterpart.
     """
-    ctx.charge()
-    maybe_fault("store.read")
-    cname = ctx.ee.class_of(extent)
-    ctx.reads.add(cname)
-    ctx.note_shard_read(cname, None)
+    ctx.read_extent(extent)
     n_state = len(state) if state is not None else 0
+    at = (ctx.version, ctx.ee, ctx.oe)
 
     def make_task(members):
         def task():
             maybe_fault("exec.shard")
-            sub = ctx.fork()
+            sub = ExecContext(ctx.db, at)
             senv = dict(env)
             sacc: list[Query] = []
             sstate = [None] * n_state if n_state else None

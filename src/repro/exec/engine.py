@@ -165,7 +165,7 @@ def execute_plan(db, entry: PlanEntry, *, budget=None, at=None, trace=None):
     at = db._store if at is None else at
     ratio = db.replan_ratio
     for attempt in (0, 1):
-        ctx = _context(db, at, budget=budget)
+        ctx = ExecContext(db, at, budget=budget)
         if attempt == 0 and ratio:
             ctx.replan = ReplanGuard(ratio)
         # one charge per execution: every machine run takes at least one
@@ -192,31 +192,6 @@ def execute_plan(db, entry: PlanEntry, *, budget=None, at=None, trace=None):
             for c, s in ctx.shard_reads.items()
         }
     return value, ctx.effect(), ctx.ops
-
-
-def _context(db, at, *, budget=None) -> ExecContext:
-    """The context of one plan run against ``db`` at store triple ``at``.
-
-    Attribute indexes, shard partitions and closure indexes answer at
-    the triple's version, whether it is the live store or a replica
-    read's captured one; an entry built for an older version never
-    replaces a newer one.
-    """
-    version, ee, oe = at
-    return ExecContext(
-        ee,
-        oe,
-        db.schema,
-        db._definitions,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        supply=db.supply,
-        budget=budget,
-        indexes=db._indexes,
-        state_version=version,
-        shards=db._shards,
-        closure_indexes=db._closure_indexes,
-    )
 
 
 def _replan_entry(db, entry: PlanEntry, sig) -> None:
@@ -307,7 +282,7 @@ def explain(
         _analyze_reduction(db, q, prof, budget=budget, max_steps=max_steps)
         return prof
     t0 = perf_counter()
-    ctx = _context(db, db._store, budget=budget)
+    ctx = ExecContext(db, db._store, budget=budget)
     run = ProfileRun(len(plan.ops))
     ctx.prof = run
     ctx.charge()

@@ -1,11 +1,14 @@
 """The per-evaluation context threaded through compiled operators.
 
-One :class:`ExecContext` lives for exactly one plan execution.  It
-carries the (immutable) EE/OE the plan reads, accounts for resource
-budgets and fault-injection sites with the same discipline as the
-reduction machine, and records the *dynamic* effect trace — the classes
-whose extents were actually scanned — so Theorem 5 can be checked
-against compiled runs exactly as it is against the machine.
+One :class:`ExecContext` lives for exactly one plan execution against
+one database at one store triple.  It reads the (immutable) EE/OE of
+that triple and the database's derived state at its version, accounts
+for resource budgets and fault-injection sites with the same
+discipline as the reduction machine — every way of reading an extent
+goes through :meth:`ExecContext.read_extent` — and records the
+*dynamic* effect trace (the classes whose extents were actually read)
+so Theorem 5 can be checked against compiled runs exactly as it is
+against the machine.
 
 Obs fast path: the enabled flag is read **once** at construction; when
 instrumentation is off, no span, metric or label object is ever built
@@ -92,77 +95,55 @@ def build_attr_index(oe, members, attr: str) -> dict[Query, tuple[OidRef, ...]]:
 
 
 class ExecContext:
-    """Everything one compiled-plan execution reads and accounts for."""
+    """Everything one compiled-plan execution reads and accounts for.
+
+    ``ExecContext(db, at)`` runs at the store triple ``at = (version,
+    ee, oe)`` of ``db`` — the store published now, or the one a replica
+    read captured — and reads everything else from ``db``: the schema,
+    the method settings and oid supply, and the derived state that
+    answers at ``version`` (attribute indexes, shard partitions and
+    closure indexes).  A partition-parallel scan gives each worker its
+    own context at the same triple and folds the worker's row charges
+    back with :meth:`absorb`.
+    """
 
     __slots__ = (
+        "db",
+        "version",
         "ee",
         "oe",
         "schema",
-        "defs",
-        "method_mode",
-        "method_fuel",
-        "supply",
         "budget",
         "reads",
         "extra_effect",
         "ops",
-        "indexes",
-        "state_version",
         "obs",
         "prof",
-        "shards",
         "shard_reads",
         "replan",
-        "closure_indexes",
         "_extent_cache",
         "stage_cache",
     )
 
-    def __init__(
-        self,
-        ee,
-        oe,
-        schema,
-        defs,
-        *,
-        method_mode,
-        method_fuel: int = 10_000,
-        supply=None,
-        budget: Budget | None = None,
-        indexes=None,
-        state_version: int = -1,
-        shards=None,
-        closure_indexes=None,
-    ):
-        self.ee = ee
-        self.oe = oe
-        self.schema = schema
-        self.defs = defs
-        self.method_mode = method_mode
-        self.method_fuel = method_fuel
-        self.supply = supply
+    def __init__(self, db, at, *, budget: Budget | None = None):
+        self.db = db
+        self.version, self.ee, self.oe = at
+        self.schema = db.schema
         self.budget = budget.start() if budget is not None else None
         self.reads: set[str] = set()
         self.extra_effect: Effect = EMPTY
         self.ops = 0
-        self.indexes = indexes
-        self.state_version = state_version
         self.obs = _OBS.enabled
         # set by the profiled execution path (.explain analyze) only;
         # plain runs pay nothing for it
         self.prof = None
-        self.shards = shards
         # dynamic shard trace: class -> set of shard ids read, or None
         # once any whole-extent read happened (= all shards)
         self.shard_reads: dict[str, set | None] = {}
         # adaptive replanning: a ReplanGuard on first execution
         # attempts, None everywhere else (guards become no-ops)
         self.replan: ReplanGuard | None = None
-        # persistent interval indexes for unbounded traverse (None when
-        # no index store is attached — the RED route then degrades to
-        # the chase)
-        self.closure_indexes = closure_indexes
-        self._extent_cache: dict[str, Query] = {}
+        self._extent_cache: dict = {}
         # tables/sources provably independent of the variable environment
         # (closed stages) are shared across re-executions of nested
         # comprehensions within this one plan run
@@ -202,7 +183,7 @@ class ExecContext:
                 self.shard_reads[cname] = have
 
     def absorb(self, ops: int) -> None:
-        """Fold a forked worker context's row charges into this one.
+        """Fold a parallel worker context's row charges into this one.
 
         Budget fuel is charged in one lump after the fan-out completes,
         so a budget can overshoot by at most one parallel scan — the
@@ -212,84 +193,46 @@ class ExecContext:
         if self.budget is not None and ops:
             self.budget.charge_steps(ops)
 
-    def fork(self) -> "ExecContext":
-        """A lightweight per-worker context sharing the immutable state.
-
-        Workers get their own accounting, caches and shard trace; the
-        parent folds the ops back via :meth:`absorb` and keeps its own
-        (whole-extent) dynamic trace, so budgets and effects stay
-        equivalent to the sequential run.
-        """
-        sub = object.__new__(ExecContext)
-        sub.ee = self.ee
-        sub.oe = self.oe
-        sub.schema = self.schema
-        sub.defs = self.defs
-        sub.method_mode = self.method_mode
-        sub.method_fuel = self.method_fuel
-        sub.supply = self.supply
-        sub.budget = None
-        sub.reads = set()
-        sub.extra_effect = EMPTY
-        sub.ops = 0
-        sub.indexes = self.indexes
-        sub.state_version = self.state_version
-        sub.obs = False
-        sub.prof = None
-        sub.shards = self.shards
-        sub.shard_reads = {}
-        sub.replan = None  # workers never replan; the parent decides
-        sub.closure_indexes = self.closure_indexes
-        sub._extent_cache = {}
-        sub.stage_cache = {}
-        return sub
-
     # -- store access ----------------------------------------------------
-    def scan(self, extent: str) -> Query:
-        """The (Extent) read: the extent's members as a canonical set.
+    def read_extent(
+        self, extent: str, shard: int | None = None
+    ) -> frozenset[str]:
+        """The (Extent) read, accounted once for every way of reading.
 
-        Records the dynamic ``R`` atom and hits the ``store.read`` fault
-        site exactly like the machine; the canonical :class:`SetLit` is
-        built once per execution per extent (the machine re-sorts it on
-        every read).
+        One charge, the ``store.read`` fault site (before any index or
+        partition is built), the dynamic ``R`` atom, and the shard
+        trace: ``shard`` is the one shard a pruned read touches,
+        ``None`` a whole-extent read.  Returns the extent's members.
         """
         self.charge()
         maybe_fault("store.read")
         cname, members = self.ee.get(extent)
         self.reads.add(cname)
-        self.note_shard_read(cname, None)
+        self.note_shard_read(cname, shard)
+        return members
+
+    def scan(self, extent: str) -> Query:
+        """The extent's members as a canonical set, built once per
+        execution per extent (the machine re-sorts it on every read)."""
+        members = self.read_extent(extent)
         if self.prof is not None:
             self.prof.scans += 1
         cached = self._extent_cache.get(extent)
         if cached is None:
-            cached = make_oid_set(members)
-            self._extent_cache[extent] = cached
+            cached = self._extent_cache[extent] = make_oid_set(members)
         return cached
 
     def extent_size(self, extent: str) -> int:
         """``size(E)`` without materialising the member set."""
-        self.charge()
-        maybe_fault("store.read")
-        cname, members = self.ee.get(extent)
-        self.reads.add(cname)
-        self.note_shard_read(cname, None)
+        members = self.read_extent(extent)
         if self.prof is not None:
             self.prof.scans += 1
         return len(members)
 
     def extent_members(self, extent: str) -> frozenset[str]:
-        """The extent's member oids, skipping canonical-value build.
-
-        Same accounting as :meth:`scan` — one charge, the
-        ``store.read`` fault site, the dynamic ``R`` atom — but
-        traversal sources consume raw oids, so sorting the members
-        into a canonical :class:`SetLit` would be pure waste.
-        """
-        self.charge()
-        maybe_fault("store.read")
-        cname, members = self.ee.get(extent)
-        self.reads.add(cname)
-        self.note_shard_read(cname, None)
+        """The extent's member oids: traversal sources consume raw
+        oids, so a canonical :class:`SetLit` would be pure waste."""
+        members = self.read_extent(extent)
         if self.prof is not None:
             self.prof.scans += 1
         return members
@@ -297,30 +240,19 @@ class ExecContext:
     def attr_index(self, extent: str, attr: str) -> dict:
         """A hash index over one extent keyed by one attribute.
 
-        Reading through the index is still a scan of the extent: it
-        records the same dynamic ``R`` atom and fault-site hit.  The
-        database-level :class:`~repro.db.store.AttributeIndexes` cache
-        (when attached) makes the index persistent across queries,
-        validated against the store version and invalidated by write
-        effects.
+        Reading through the index is still a read of the whole extent.
+        The index is the database's
+        :class:`~repro.db.store.AttributeIndexes` entry at this
+        context's version, persistent across queries and maintained by
+        write effects.
         """
-        self.charge()
-        maybe_fault("store.read")
-        cname, members = self.ee.get(extent)
-        self.reads.add(cname)
-        self.note_shard_read(cname, None)
+        self.read_extent(extent)
         if self.prof is not None:
             self.prof.index_lookups += 1
-        if self.indexes is not None:
-            return self.indexes.get(
-                self.ee,
-                self.oe,
-                self.state_version,
-                extent,
-                attr,
-                shards=self.shards,
-            )
-        return build_attr_index(self.oe, members, attr)
+        db = self.db
+        return db._indexes.get(
+            self.ee, self.oe, self.version, extent, attr, shards=db._shards
+        )
 
     def pruned_attr_index(self, extent: str, attr: str, key: Query):
         """One shard's index partial when ``attr`` is the shard key.
@@ -331,31 +263,22 @@ class ExecContext:
         that shard's partial contains exactly the full index's bucket
         for *k*.  Records a single-``(class, shard)`` dynamic read, the
         confinement the per-shard result cache keys on.  ``None`` when
-        pruning does not apply (unsharded, sharded by a different
-        attribute or by oid, no index store attached) — the caller uses
-        the full index.
+        pruning does not apply (unsharded, or sharded by a different
+        attribute or by oid) — the caller reads the full index, which
+        records the whole-extent read.
         """
-        shards = self.shards
-        if shards is None or self.indexes is None:
-            return None
+        shards = self.db._shards
         spec = shards.spec(extent)
         if spec is None or spec.by != attr:
             return None
         from repro.db.shards import shard_of
 
         s = shard_of(key, spec.k)
-        self.charge()
-        maybe_fault("store.read")
-        cname = self.ee.class_of(extent)
-        self.reads.add(cname)
-        partial = self.indexes.get_shard(
-            self.ee, self.oe, self.state_version, extent, attr, s, shards
+        self.read_extent(extent, s)
+        partial = self.db._indexes.get_shard(
+            self.ee, self.oe, self.version, extent, attr, s, shards
         )
-        if partial is None:
-            self.note_shard_read(cname, None)
-            return None
-        self.note_shard_read(cname, s)
-        if self.prof is not None:
+        if partial is not None and self.prof is not None:
             self.prof.index_lookups += 1
         return partial
 
@@ -368,32 +291,20 @@ class ExecContext:
         re-declared).  The partition is the one at this context's store
         version.
         """
-        shards = self.shards
-        if shards is None:
-            return None, None
+        shards = self.db._shards
         spec = shards.spec(extent)
         if spec is None:
             return None, None
-        parts = shards.partition(extent, self.ee, self.oe, self.state_version)
-        if parts is None:
-            return None, None
-        return spec, parts
+        parts = shards.partition(extent, self.ee, self.oe, self.version)
+        return (None, None) if parts is None else (spec, parts)
 
     def shard_items(
         self, extent: str, shard: int, parts: tuple
     ) -> tuple[OidRef, ...]:
-        """One shard's members as oid refs — a pruned (Extent) read.
-
-        Accounts exactly like :meth:`scan` (charge, ``store.read``
-        fault, dynamic ``R`` atom) plus the ``exec.shard`` site, but
-        records only the single shard in the shard trace.
-        """
-        self.charge()
-        maybe_fault("store.read")
+        """One shard's members as oid refs — a pruned (Extent) read,
+        plus the ``exec.shard`` fault site."""
+        self.read_extent(extent, shard)
         maybe_fault("exec.shard")
-        cname = self.ee.class_of(extent)
-        self.reads.add(cname)
-        self.note_shard_read(cname, shard)
         if self.prof is not None:
             self.prof.scans += 1
         key = (extent, shard)
@@ -434,22 +345,21 @@ class ExecContext:
         cone: frozenset[str] | None = None,
         extent: str | None = None,
     ) -> frozenset[str] | None:
-        """RED traverse: answer from the persistent interval index.
+        """RED traverse: answer from the persistent closure index.
 
-        Returns None when the route must degrade to the chase: no index
-        store attached, empty start, a cyclic or uncovered
-        graph, or a start object outside the indexed cone.  A served
-        answer records the whole cone in the dynamic trace — the index
-        was (re)built from every cone extent, which is exactly the
-        static closure bound of the effect rule.
+        Returns None when the route must degrade to the chase: empty
+        start, a cyclic or uncovered graph, or a start object outside
+        the indexed cone.  A served answer records the whole cone in the
+        dynamic trace — the index was (re)built from every cone extent,
+        which is exactly the static closure bound of the effect rule.
 
         ``cone`` is the reachable-closure class set when the compiler
         already knows it statically (extent-sourced traversals); when
         None it is recovered from the start objects' runtime classes.
-        ``extent`` marks a start set that IS a whole extent, unlocking
-        the index's cached per-extent stab array.
+        ``extent`` marks a start set that IS a whole extent, whose
+        closure the index memoizes.
         """
-        if self.closure_indexes is None or not start:
+        if not start:
             return None
         maybe_fault("exec.traverse")
         if cone is None:
@@ -458,13 +368,12 @@ class ExecContext:
             cone = frozenset()
             for cname in {self.oe.get(o).cname for o in start}:
                 cone |= closure_read_set(self.schema, cname, attr)
-        idx = self.closure_indexes.get(
-            self.schema, self.ee, self.oe, self.state_version, attr, cone
+        idx = self.db._closure_indexes.get(
+            self.schema, self.ee, self.oe, self.version, attr, cone
         )
-        result = None
         if extent is not None:
             result = idx.closure_of_extent(self.ee, extent)
-        if result is None:
+        else:
             result = idx.closure_of(start)
         if result is None:
             return None
@@ -485,13 +394,14 @@ class ExecContext:
 
         self.charge()
         maybe_fault("method.call")
+        db = self.db
         interp = MethodInterpreter(
             self.schema,
             self.ee,
             self.oe,
-            mode=self.method_mode,
-            fuel=Fuel(self.method_fuel),
-            oid_supply=self.supply,
+            mode=db.method_mode,
+            fuel=Fuel(db.machine.method_fuel),
+            oid_supply=db.supply,
         )
         outcome = interp.invoke(target.name, mname, args)
         if outcome.ee is not self.ee or outcome.oe is not self.oe:

@@ -3,9 +3,10 @@
 The Figure 3 effect of a query is a *static upper bound* on what it can
 touch at run time (Theorem 5: every dynamic trace is a subeffect of the
 static effect).  That bound is exactly what a transaction needs: to
-make a statement atomic it suffices to snapshot **only the extents of
-the classes in R(C) ∪ A(C) (∪ U(C) in §5 mode)** and, on failure,
-restore those — everything else is untouched by construction.
+make a statement atomic it suffices to keep the entry EE/OE (immutable,
+so keeping them is free) and, on failure, restore **only the extents
+of the classes in R(C) ∪ A(C) (∪ U(C) in §5 mode)** from them —
+everything else is untouched by construction.
 
 Two grains are provided:
 
@@ -43,7 +44,7 @@ from repro.obs.spans import span as _span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
-    from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
+    from repro.db.store import ExtentEnv, ObjectEnv
 
 
 def scope_extents(db: "Database", effect: Effect) -> tuple[str, ...]:
@@ -62,54 +63,71 @@ def scope_extents(db: "Database", effect: Effect) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def _restore(
+    db: "Database",
+    extents: tuple[str, ...],
+    entry_ee: "ExtentEnv",
+    entry_oe: "ObjectEnv",
+) -> tuple[int, bool]:
+    """Reinstall the entry state of ``extents``, leave the rest alone.
+
+    Objects that joined a scoped extent since entry are dropped, its
+    membership is reset, and every entry member's record is restored
+    (undoing §5 in-place updates).  Returns the number of dropped
+    objects and whether anything changed.  The caller holds
+    ``db._commit_lock``.
+    """
+    _, ee, oe = db._store
+    dropped = 0
+    restored = {}
+    for extent in extents:
+        prior = entry_ee.members(extent)
+        current = ee.members(extent)
+        added = current - prior
+        if added:
+            oe = oe.without_objects(added)
+            dropped += len(added)
+        if current != prior:
+            ee = ee.with_members(extent, prior)
+        for oid in prior:
+            rec = entry_oe.get(oid)
+            if oe.get(oid) is not rec:
+                restored[oid] = rec
+    oe = oe.with_objects(restored)
+    changed = ee is not db.ee or oe is not db.oe
+    # under the commit lock no writer interleaves; concurrent *disjoint*
+    # readers are safe because the dropped oids were created by the
+    # failed work and cannot be referenced from outside its scope
+    db._install(ee, oe)
+    return dropped, changed
+
+
 @dataclass(frozen=True)
 class TransactionScope:
     """What one atomic statement may touch, and its pre-state.
 
-    ``prior_members`` maps each scoped extent to its membership at
-    capture time; ``prior_records`` holds the then-current record of
-    every object in those extents (to undo §5 updates).
+    ``ee``/``oe`` are the environments published at capture time.
+    They are immutable, so keeping them costs nothing, and a rollback
+    restores only the scoped extents from them.
     """
 
     extents: tuple[str, ...]
-    prior_members: tuple[tuple[str, frozenset[str]], ...]
-    prior_records: tuple[tuple[str, ObjectRecord], ...]
+    ee: "ExtentEnv"
+    oe: "ObjectEnv"
 
     @staticmethod
     def capture(db: "Database", effect: Effect) -> "TransactionScope":
-        """Snapshot the parts of EE/OE the effect says are at risk."""
-        extents = scope_extents(db, effect)
-        members = tuple((e, db.ee.members(e)) for e in extents)
-        records = tuple(
-            (oid, db.oe.get(oid))
-            for _, oids in members
-            for oid in sorted(oids)
-        )
-        return TransactionScope(extents, members, records)
+        """Remember the entry state of the extents the effect puts at risk."""
+        _, ee, oe = db._store
+        return TransactionScope(scope_extents(db, effect), ee, oe)
 
     def rollback(self, db: "Database") -> None:
         """Restore the scoped extents/objects; leave the rest alone."""
         with _span("rollback", scope="query", extents=len(self.extents)):
             with db._commit_lock:
-                ee, oe = db.ee, db.oe
-                dropped = 0
-                for extent, prior in self.prior_members:
-                    current = ee.members(extent)
-                    added = current - prior
-                    if added:
-                        oe = oe.without_objects(added)
-                        dropped += len(added)
-                    if current != prior:
-                        ee = ee.with_members(extent, prior)
-                for oid, rec in self.prior_records:
-                    if oe.get(oid) is not rec:
-                        oe = oe.with_object(oid, rec)
-                changed = ee is not db.ee or oe is not db.oe
-                # under the commit lock no writer interleaves; concurrent
-                # *disjoint* readers are safe because the dropped oids
-                # were created by the failed attempt and cannot be
-                # referenced from outside its effect scope
-                db._install(ee, oe)
+                dropped, changed = _restore(
+                    db, self.extents, self.ee, self.oe
+                )
                 if changed:
                     # a rollback has no static effect bounding what it
                     # undid: journal the whole state (see db.wal)
@@ -155,8 +173,7 @@ class Transaction:
         db = self._db
         if db._active_txn is not None:
             raise ReproError("transactions do not nest")
-        self._entry_ee = db.ee
-        self._entry_oe = db.oe
+        _, self._entry_ee, self._entry_oe = db._store
         self._entry_defs = dict(db._definitions)
         self._entry_def_types = dict(db._def_types)
         self._active = True
@@ -188,21 +205,10 @@ class Transaction:
         db = self._db
         with _span("rollback", scope="transaction"):
             with db._commit_lock:
-                extents = scope_extents(db, self.effect)
-                ee, oe = db.ee, db.oe
-                for extent in extents:
-                    prior = self._entry_ee.members(extent)
-                    current = ee.members(extent)
-                    added = current - prior
-                    if added:
-                        oe = oe.without_objects(added)
-                    if current != prior:
-                        ee = ee.with_members(extent, prior)
-                    for oid in prior:
-                        entry_rec = self._entry_oe.get(oid)
-                        if oe.get(oid) is not entry_rec:
-                            oe = oe.with_object(oid, entry_rec)
-                db._install(ee, oe)
+                _restore(
+                    db, scope_extents(db, self.effect),
+                    self._entry_ee, self._entry_oe,
+                )
             # definitions added inside the transaction are removed; the
             # dicts are restored wholesale (defs are never huge) and the
             # DE version is bumped so compiled plans against them retire

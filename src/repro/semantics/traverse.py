@@ -3,7 +3,7 @@
 One function, :func:`chase`, is shared by every engine — the big-step
 evaluator, the reduction machine's (Traverse) rule, and the compiled
 pipelines' YELLOW route (every bounded depth) and RED fallback all call
-it (the RED interval-index route is a separate implementation certified
+it (the RED closure-index route is a separate implementation certified
 equal by the differential suite).  Sharing the frontier loop keeps the
 engines' observable behaviour — the reachable oid set, the classes
 visited (hence the instrumented effect), and the error/bounding

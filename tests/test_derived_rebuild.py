@@ -2,7 +2,7 @@
 
 The database keeps five tables derived from EE/OE — the plan cache's
 results, the attribute indexes (whole-extent and per-shard partials),
-the closure (interval) indexes, the column statistics and the shard
+the closure indexes, the column statistics and the shard
 partitions — and maintains all of them across commits by one Theorem 5
 rule (:func:`repro.db.store.apply_commit`): evict what a write
 touched, fold an ``A``-only commit's adds forward where possible,
@@ -149,11 +149,11 @@ def check_closure_indexes(db, counts) -> None:
         if v != version:
             continue
         fresh = build_closure_index(db.schema, ee, oe, attr, classes)
-        for field in ("cyclic", "usable", "pre", "posts", "order", "parent"):
+        for field in ("cyclic", "usable", "pre", "order", "parent"):
             assert getattr(idx, field) == getattr(fresh, field), (
                 f"closure index {attr} over {sorted(classes)}: {field}"
             )
-        for extent, closure in list(idx._extent_stabs.items()):
+        for extent, closure in list(idx._extent_closures.items()):
             assert closure == fresh.closure_of_extent(ee, extent), (
                 f"memoised closure of {extent}"
             )
@@ -295,7 +295,7 @@ def test_traverse_corpus(shape, sharded, counts):
     for i, depth in enumerate(DEPTHS):
         source, _ = pick_start(rng, edges)
         db.run(query_src(source, depth))
-        db.run(query_src("refs", None))  # warm the interval index
+        db.run(query_src("refs", None))  # warm the closure index
         # alternate writes outside the cone (promote) and inside (evict)
         if i % 3 == 0:
             db.run(f"new Other(x: {i})")

@@ -1,4 +1,4 @@
-"""The plan compiler: operator coverage, predicate pushdown, hash joins.
+"""The plan compiler: operator coverage, predicate order, hash joins.
 
 Every answer is cross-checked against the reduction machine — the
 compiled engine is an implementation of the same denotation, licensed
@@ -8,6 +8,7 @@ by Theorem 4 on read-only queries.
 import pytest
 
 from repro.db.database import Database
+from repro.errors import FuelExhausted
 from repro.exec.compiler import NotCompilable, compile_plan
 from repro.methods.ast import AccessMode
 
@@ -128,20 +129,22 @@ class TestPlanShape:
         return db.plan_decision(src).plan.notes
 
     def test_pushdown_noted(self, db):
-        # compile the raw query directly: through plan_decision the
-        # optimizer has already hoisted the predicate, so the compiler
-        # has nothing left to push
+        # only the optimizer moves predicates: the rewrite shows in the
+        # explain header, and compiling the raw text keeps the order
+        # the predicate was written in
+        src = (
+            "{ struct(a: p.name, b: x) "
+            "| p <- Persons, x <- {1, 2}, p.age < 40 }"
+        )
+        assert "pred-pushdown" in db.explain_cost(src).rewrites
         plan = compile_plan(
             db.schema,
             db._definitions,
-            db.parse(
-                "{ struct(a: p.name, b: x) "
-                "| p <- Persons, x <- {1, 2}, p.age < 40 }"
-            ),
+            db.parse(src),
             method_mode=db.method_mode,
             method_fuel=1000,
         )
-        assert any("pushdown" in n for n in plan.notes)
+        assert not any("pushdown" in n for n in plan.notes)
 
     def test_equi_join_uses_attribute_index(self, db):
         notes = self._notes(
@@ -216,22 +219,111 @@ class TestJoinSemantics:
         from repro.errors import EvalError
         from repro.exec.runtime import ExecContext
 
-        ctx = ExecContext(
-            db.ee,
-            db.oe,
-            db.schema,
-            db._definitions,
-            method_mode=db.method_mode,
-            method_fuel=100,
-            supply=db.supply,
-            indexes=db._indexes,
-            state_version=db._state_version,
-        )
+        ctx = ExecContext(db, db._store)
         from repro.exec.compiler import _check_key
         from repro.lang.ast import OidRef
 
         with pytest.raises(EvalError):
             _check_key(ctx, OidRef("@Person_999"), True)
+
+
+LOOPY_ODL = """
+class P extends Object (extent Ps) {
+    attribute string name;
+    attribute int age;
+    int loopy() { while (true) { } }
+    int ten() { return 10; }
+}
+class D extends Object (extent Ds) {
+    attribute int dno;
+}
+"""
+
+
+@pytest.fixture
+def loopy_db() -> Database:
+    d = Database.from_odl(LOOPY_ODL, method_fuel=500)
+    d.insert("P", name="a", age=10)
+    d.insert("P", name="b", age=20)
+    d.insert("D", dno=1)
+    d.define(
+        "define f() as { p.name | p <- Ps, y <- { p.loopy() }, p.age > 100 };"
+    )
+    d.define(
+        "define g() as { p.name | p <- Ps, y <- { p.ten() }, p.age > 15 };"
+    )
+    return d
+
+
+class TestPredicatesStayWhereWritten:
+    """Whether a query errs is part of its meaning.  A pure predicate
+    written after a qualifier that may diverge must not be evaluated
+    first: the optimizer refuses that move (the crossed qualifiers are
+    not termination-safe), and the compiler moves no predicate, so the
+    compiled engine diverges exactly where the machine and big-step do.
+    """
+
+    DIVERGENT = [
+        "{ p.name | p <- Ps, y <- { p.loopy() }, p.age > 100 }",
+        "{ p.name | p <- Ps, x <- {1, 2}, p.loopy() = 0, p.age > 100 }",
+        "f()",
+    ]
+    TERMINATING = [
+        "{ p.name | p <- Ps, y <- { p.ten() }, p.age > 15 }",
+        "{ p.name | p <- Ps, x <- {1, 2}, p.ten() = 10, p.age > 15 }",
+        "g()",
+    ]
+
+    @pytest.mark.parametrize("engine", ["auto", "reduction", "bigstep"])
+    @pytest.mark.parametrize("src", DIVERGENT)
+    def test_divergence_survives_compilation(self, loopy_db, src, engine):
+        assert loopy_db.plan_decision(src).engine == "compiled"
+        with pytest.raises(FuelExhausted):
+            loopy_db.run(src, engine=engine, commit=False)
+
+    def test_join_does_not_overtake_a_call(self, loopy_db):
+        # the most selective equality is written after the call, so the
+        # join may not key on it: no P matches a D, and a join would
+        # answer {} without ever calling loopy()
+        src = "{ p.name | q <- Ds, p <- Ps, p.loopy() = 0, p.age = q.dno }"
+        notes = loopy_db.plan_decision(src).plan.notes
+        assert not any("age" in n for n in notes if "hash join" in n)
+        for engine in ("auto", "reduction", "bigstep"):
+            with pytest.raises(FuelExhausted):
+                loopy_db.run(src, engine=engine, commit=False)
+        safe = "{ p.name | q <- Ds, p <- Ps, p.age = q.dno, p.loopy() = 0 }"
+        notes = loopy_db.plan_decision(safe).plan.notes
+        assert any("via index Ps.age" in n for n in notes)
+        assert loopy_db.run(safe, commit=False).python() == frozenset()
+
+    def test_shard_probe_does_not_overtake_a_call(self, loopy_db):
+        from repro.db.shards import shard_of
+        from repro.lang.ast import IntLit
+
+        k = 8
+        loopy_db.shard("P", k=k, by="age")
+        held = {shard_of(IntLit(a), k) for a in (10, 20)}
+        # a key whose shard holds no P: pruning would scan nothing
+        key = next(v for v in range(100) if shard_of(IntLit(v), k) not in held)
+        src = f"{{ p.name | p <- Ps, p.loopy() = 0, p.age = {key} }}"
+        notes = loopy_db.plan_decision(src).plan.notes
+        assert not any("shard-prune" in n for n in notes)
+        with pytest.raises(FuelExhausted):
+            loopy_db.run(src, commit=False)
+        safe = f"{{ p.name | p <- Ps, p.age = {key}, p.loopy() = 0 }}"
+        notes = loopy_db.plan_decision(safe).plan.notes
+        assert any("shard-prune" in n for n in notes)
+        assert loopy_db.run(safe, commit=False).python() == frozenset()
+
+    @pytest.mark.parametrize("src", TERMINATING)
+    def test_terminating_method_agrees(self, loopy_db, src):
+        assert loopy_db.plan_decision(src).engine == "compiled"
+        values = [
+            loopy_db.run(src, engine=engine, commit=False).value
+            for engine in ("auto", "reduction", "bigstep")
+        ]
+        assert values[0] == values[1] == values[2]
+        assert loopy_db.run(src, commit=False).python() == frozenset({"b"})
 
 
 class TestScopeDiscipline:

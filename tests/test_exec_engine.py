@@ -362,6 +362,23 @@ class TestFaultAndBudgetParity:
                 db.run("{ p.name | p <- Persons }", engine="compiled")
         assert exc.value.site == "store.read"
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_store_read_fault_precedes_index_build(self, db, sharded):
+        # the second extent read is the index join's: its fault site
+        # fires before the index (or the shard's partial) is built
+        if sharded:
+            db.shard("Person", k=4, by="age")
+        q = (
+            "{ struct(a: p.name, b: q.name) "
+            "| p <- Persons, q <- Persons, q.age = p.age }"
+        )
+        with inject(FaultPlan((FaultRule(site="store.read", at=2),))):
+            with pytest.raises(TransientFault):
+                db.run(q, engine="compiled")
+        assert len(db._indexes) == 0
+        db.run(q, engine="compiled")
+        assert len(db._indexes) > 0
+
     def test_machine_step_fault_site(self, db):
         with inject(FaultPlan((FaultRule(site="machine.step", at=1),))):
             with pytest.raises(TransientFault):

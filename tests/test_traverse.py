@@ -13,14 +13,16 @@ the pipeline:
   escapes the declared schema;
 * big-step / small-step semantics: leaves, cycles, depth bounds,
   dangling references, fuel charged per visited node;
-* the persistent interval (pre/post-order) closure index and its
-  Theorem 5 eviction discipline (A evicts exactly the cones containing
+* the persistent closure index (parent positions over the reverse
+  reference forest) and its Theorem 5 eviction discipline (A evicts exactly the cones containing
   the written class, U drops all, unrelated writes promote);
 * budget and fault-injection behavior of the compiled routes, and
   replica freshness over the full reachable set.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -335,7 +337,7 @@ class TestRouting:
 
 
 # ---------------------------------------------------------------------------
-# The interval index itself
+# The closure index itself
 # ---------------------------------------------------------------------------
 
 
@@ -370,6 +372,75 @@ class TestClosureIndex:
         _, idx = self.build({})
         assert idx.usable
         assert idx.closure_of([]) == frozenset()
+
+    @staticmethod
+    def forest(n: int, seed: int) -> dict:
+        """A seeded random forest: every node links to an earlier one,
+        except the first and about one in a hundred (the roots)."""
+        rng = random.Random(seed)
+        edges = {}
+        for i in range(n):
+            root = i == 0 or rng.random() < 0.01
+            edges[f"t{i:05d}"] = None if root else f"t{rng.randrange(i):05d}"
+        return edges
+
+    def test_positions_put_parents_first(self):
+        edges = self.forest(500, 7)
+        _, idx = self.build(edges)
+        assert len(idx) == len(edges)
+        for oid, i in idx.pre.items():
+            assert idx.order[i] == oid
+            target = edges[oid[1:]]
+            want = -1 if target is None else idx.pre[f"@{target}"]
+            assert idx.parent[i] == want < i
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_forest_closures(self, seed):
+        n = 2000
+        edges = self.forest(n, seed)
+        _, idx = self.build(edges)
+        assert idx.usable and not idx.cyclic
+        rng = random.Random(seed)
+        names = sorted(edges)
+        for size in (1, n // 16 - 1, n // 16 + 1, n):
+            start = rng.sample(names, size)
+            got = idx.closure_of([f"@{s}" for s in start])
+            assert got == frozenset(reachable(edges, start)), size
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extent_closure_is_memoized(self, seed):
+        edges = self.forest(2000, seed)
+        db, idx = self.build(edges)
+        for extent in ("refs", "nodes"):
+            members = db.ee.members(extent)
+            first = idx.closure_of_extent(db.ee, extent)
+            assert first == idx.closure_of(members)
+            assert first == frozenset(
+                reachable(edges, [oid[1:] for oid in members])
+            )
+            assert idx.closure_of_extent(db.ee, extent) is first
+            assert idx._extent_closures[extent] is first
+
+    def test_fallbacks_answer_none(self):
+        cyclic_db, cyclic = self.build({"a": "b", "b": "a", "c": None})
+        assert cyclic.cyclic
+        dangling_db = graph_db({"a": "b", "b": None})
+        dangling_db.oe = dangling_db.oe.with_object(
+            "@a",
+            ObjectRecord(
+                "Ref", (("tag", IntLit(0)), ("next", OidRef("@ghost")))
+            ),
+        )
+        dangling = build_closure_index(
+            dangling_db.schema, dangling_db.ee, dangling_db.oe, "next",
+            frozenset({"Node", "Ref"}),
+        )
+        assert not dangling.usable
+        for db, idx in ((cyclic_db, cyclic), (dangling_db, dangling)):
+            assert idx.closure_of(["@b"]) is None
+            for extent in ("refs", "nodes"):
+                assert idx.closure_of_extent(db.ee, extent) is None
+            assert not idx._extent_closures
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +517,7 @@ class TestTheorem5Eviction:
         assert oids(res.value) == model
 
     def test_shard_layout_change_keeps_closure_index(self):
-        # an interval index is built from EE/OE alone, so a new layout
+        # a closure index is built from EE/OE alone, so a new layout
         # leaves it valid
         db = self.warmed()
         before = db._closure_indexes.rebuilds

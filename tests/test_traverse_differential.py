@@ -2,8 +2,8 @@
 
 Every query runs through all three engines — the big-step fixpoint (the
 spec), the reduction machine's (Traverse) rule, and the compiled
-pipeline with its YELLOW / RED complexity routing — and all
-three must agree exactly with an *independent* model-level closure
+pipeline with its two complexity routes — and all three must agree
+exactly with an *independent* model-level closure
 (:func:`tests.traverse_helpers.reachable`).  The compiled run's dynamic
 effect must additionally stay inside the static Figure-3 bound.
 
@@ -12,9 +12,9 @@ Shapes are chosen to stress the fixpoint's edge rules: self-loops
 frontier handling double-visits), chains deeper than 1000 nodes (well
 past any plausible stack limit), disconnected components, and mixed
 Ref/Node chains whose leaves lack the traversed attribute.  Depths cover
-every route: every bounded depth (0/2/8/9/50) takes the YELLOW
-iterative chase, unbounded takes RED (interval index when acyclic,
-chase fallback otherwise).
+both routes: every bounded depth (0/2/8/9/50) takes the YELLOW
+iterative chase, unbounded takes RED (the closure index's parent walk
+when acyclic, the chase otherwise).
 
 The grid is 6 shapes x 10 seeds x 6 depths = 360 differential queries,
 plus sharded-extent and ``run_many`` batches over the same stores.
